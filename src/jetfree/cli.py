@@ -22,7 +22,9 @@ from .dsl import SpecSource, load_bundled_spec, parse_spec, serialize_spec
 from .errors import JetfreeError, NoSolution, PreconditionViolation
 from .frames import CrossSection, MovingFrameChart, check_transversality, invariants
 from .freeness import (
+    INCONCLUSIVE,
     LOCALLY_FREE,
+    PERSISTS,
     TRIVIAL,
     isotropy_jets_triangular,
     local_freeness,
@@ -282,7 +284,7 @@ def cmd_persistence(args) -> int:
         spec, args.order, z, through=args.through, samples=args.samples, seed=args.seed
     )
     doc = _report("persistence", spec.name, args.order, point_to_document(rep.point))
-    doc["verdict"] = "PERSISTS" if rep.all_free else "COUNTEREXAMPLE"
+    doc["verdict"] = rep.verdict
     doc["kernel_dimension"] = rep.base_verdict.kernel_dimension
     doc["orbit_dimension"] = rep.base_verdict.orbit_dimension
     doc["samples"] = args.samples
@@ -301,19 +303,20 @@ def cmd_persistence(args) -> int:
     _finish(doc, args, t0)
     if args.json:
         _emit(doc)
+    elif rep.verdict == PERSISTS:
+        print(
+            f"PERSISTS: {rep.lifts_checked} lifts locally free through order "
+            f"{args.through} ({rep.skipped} skipped)"
+        )
+    elif rep.verdict == INCONCLUSIVE:
+        print(f"INCONCLUSIVE: all {rep.skipped} lifts through order {args.through} were skipped")
     else:
-        if rep.all_free:
-            print(
-                f"PERSISTS: {rep.lifts_checked} lifts locally free through order "
-                f"{args.through} ({rep.skipped} skipped)"
-            )
-        else:
-            first = rep.failures[0]
-            print(
-                f"COUNTEREXAMPLE at order {first.order}: see --json for the lift "
-                "and kernel element"
-            )
-    return 0 if rep.all_free else 1
+        first = rep.failures[0]
+        print(
+            f"COUNTEREXAMPLE at order {first.order}: see --json for the lift "
+            "and kernel element"
+        )
+    return 0 if rep.verdict == PERSISTS else 1
 
 
 def cmd_frame(args) -> int:

@@ -32,11 +32,6 @@ from .prolong import VectorFieldJet, context_for
 from .symkernel import Expr, Scalar, scalar
 
 
-def _max_order(ctx: JetContext, e: Expr, kind: str) -> int:
-    """Highest jet order of the given variable kind appearing in e, or -1."""
-    return ctx.max_order(e, kind)
-
-
 def _check_kinds(ctx: JetContext, e: Expr, allowed: tuple[str, ...], what: str) -> None:
     for vid in e.variables():
         kind = ctx.info(vid)[0]
@@ -83,13 +78,13 @@ class PseudogroupSpec:
         ctx = context_for(self.space)
         n = self.base_order
         for e in self.determining:
-            n = max(n, _max_order(ctx, e, "target"))
+            n = max(n, ctx.max_order(e, "target"))
         for e in self.infinitesimal:
-            n = max(n, _max_order(ctx, e, "vf"))
+            n = max(n, ctx.max_order(e, "vf"))
         return n
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearDeterminingSystem:
     """Homogeneous linear system on vector-field jets, complete (closed
     under total differentiation) up to the declared order."""
@@ -99,7 +94,7 @@ class LinearDeterminingSystem:
     equations: tuple[Expr, ...]
 
     def __post_init__(self):
-        self.equations = tuple(self.equations)
+        object.__setattr__(self, "equations", tuple(self.equations))
         ctx = context_for(self.space)
         for e in self.equations:
             _check_kinds(ctx, e, ("source", "vf"), "linear determining equation")
@@ -213,6 +208,26 @@ def declared_linear_system(ds: PseudogroupSpec) -> LinearDeterminingSystem:
 # -- prolongation --------------------------------------------------------------------
 
 
+def _close(ctx: JetContext, equations, kind: str, n: int) -> list[Expr]:
+    """The equations plus all their total derivatives whose jets of the
+    given kind ("vf" or "target") have order at most n."""
+    out = list(equations)
+    seen = set(out)
+    queue = list(equations)
+    while queue:
+        e = queue.pop()
+        if ctx.max_order(e, kind) >= n:
+            continue
+        for c in range(ctx.space.m):
+            de = ctx.total_derivative(e, c)
+            if de.is_zero() or de in seen:
+                continue
+            seen.add(de)
+            out.append(de)
+            queue.append(de)
+    return out
+
+
 def prolong_linear_system(L: LinearDeterminingSystem, k: int) -> LinearDeterminingSystem:
     """Close the system under total derivatives up to order L.order + k."""
     if k < 0:
@@ -220,21 +235,7 @@ def prolong_linear_system(L: LinearDeterminingSystem, k: int) -> LinearDetermini
     ctx = context_for(L.space)
     n = L.order + k
     ctx.ensure_vf(n)
-    out = list(L.equations)
-    seen = set(out)
-    queue = list(L.equations)
-    while queue:
-        e = queue.pop()
-        if _max_order(ctx, e, "vf") >= n:
-            continue
-        for c in range(L.space.m):
-            de = ctx.total_derivative(e, c)
-            if de.is_zero() or de in seen:
-                continue
-            seen.add(de)
-            out.append(de)
-            queue.append(de)
-    return LinearDeterminingSystem(L.space, n, tuple(out))
+    return LinearDeterminingSystem(L.space, n, tuple(_close(ctx, L.equations, "vf", n)))
 
 
 def prolong_determining_system(ds: PseudogroupSpec, k: int) -> list[Expr]:
@@ -247,39 +248,83 @@ def prolong_determining_system(ds: PseudogroupSpec, k: int) -> list[Expr]:
     ctx = context_for(ds.space)
     n = ds.effective_order + k
     ctx.ensure_target(n)
-    out = list(ds.determining)
-    seen = set(out)
-    queue = list(ds.determining)
-    while queue:
-        e = queue.pop()
-        if _max_order(ctx, e, "target") >= n:
-            continue
-        for c in range(ds.space.m):
-            de = ctx.total_derivative(e, c)
-            if de.is_zero() or de in seen:
-                continue
-            seen.add(de)
-            out.append(de)
-            queue.append(de)
-    return out
+    return _close(ctx, ds.determining, "target", n)
+
+
+# -- the point-independent layer -------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class FreenessProblem:
+    """Everything the freeness computations of one linear system share
+    across points: the validated system, its prolongation to each jet
+    order (built and validated once per order), and the fiber basis at
+    each (order, base point) already solved.
+
+    Fibers depend on the base point z = (x, u) only, so every lift of a
+    jet point reuses the fibers of its base.  A problem lives as long as
+    the caller keeps it (one CLI command, one sweep); nothing is cached
+    at module level."""
+
+    system: LinearDeterminingSystem
+    _prolonged: dict = field(default_factory=dict, init=False, repr=False)
+    _fibers: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of(cls, ps) -> FreenessProblem:
+        """The problem itself, a problem over a linear system, or over the
+        declared (else linearized) system of a pseudogroup spec."""
+        if isinstance(ps, FreenessProblem):
+            return ps
+        if isinstance(ps, LinearDeterminingSystem):
+            return cls(ps)
+        return cls(declared_linear_system(ps))
+
+    @property
+    def space(self) -> SpaceSpec:
+        return self.system.space
+
+    def prolonged(self, n: int) -> LinearDeterminingSystem:
+        """The system closed under total derivatives through order
+        max(n, system.order)."""
+        n = max(n, self.system.order)
+        Lp = self._prolonged.get(n)
+        if Lp is None:
+            Lp = prolong_linear_system(self.system, n - self.system.order)
+            self._prolonged[n] = Lp
+        return Lp
+
+    def equations(self, n: int) -> list[Expr]:
+        """Equations of the prolonged system involving field jets of order
+        at most n: the order-n truncation."""
+        ctx = context_for(self.space)
+        return [e for e in self.prolonged(n).equations if ctx.max_order(e, "vf") <= n]
+
+    def fiber(self, n: int, z0: tuple) -> FiberBasis:
+        """Fiber basis of order n at base point z0, solved on first use."""
+        key = (n, tuple(z0))
+        fb = self._fibers.get(key)
+        if fb is None:
+            fb = fiber_basis(self, n, z0)
+            self._fibers[key] = fb
+        return fb
 
 
 # -- fibers ---------------------------------------------------------------------------
 
 
 def evaluated_rows(
-    L: LinearDeterminingSystem, n: int, z0: tuple
+    L, n: int, z0: tuple
 ) -> tuple[list[list[Scalar]], list[tuple[int, MultiIndex, int]]]:
-    """Coefficient matrix of the order-n truncation of L evaluated at z0,
-    with columns over all zeta-jet coordinates of order <= n."""
-    ctx = context_for(L.space)
-    Lp = prolong_linear_system(L, max(0, n - L.order))
+    """Coefficient matrix of the order-n truncation of L (a linear system
+    or a FreenessProblem) evaluated at z0, with columns over all zeta-jet
+    coordinates of order <= n."""
+    problem = FreenessProblem.of(L)
+    ctx = context_for(problem.space)
     coords = ctx.vf_coords(n)
-    env = {ctx.source_var(a): z0[a] for a in range(L.space.m)}
+    env = {ctx.source_var(a): z0[a] for a in range(problem.space.m)}
     rows = []
-    for e in Lp.equations:
-        if _max_order(ctx, e, "vf") > n:
-            continue
+    for e in problem.equations(n):
         row = []
         for _, _, vid in coords:
             ce = e.diff(vid)
@@ -300,52 +345,51 @@ def evaluated_rows(
     return rows, coords
 
 
-def fiber_basis(L: LinearDeterminingSystem, n: int, z0: tuple) -> FiberBasis:
+def basis_from_rows(
+    space: SpaceSpec, n: int, z0: tuple, rows: list, coords: list
+) -> FiberBasis:
+    """Null-space basis of rows over the zeta-jet coordinates coords, as
+    order-n vector-field jets at z0."""
+    elements = []
+    for vec in nullspace(rows, len(coords)):
+        coeffs = {(a, B): vec[i] for i, (a, B, _) in enumerate(coords)}
+        elements.append(VectorFieldJet(space, n, tuple(z0), coeffs))
+    return FiberBasis(tuple(z0), n, elements)
+
+
+def fiber_basis(L, n: int, z0: tuple) -> FiberBasis:
     """Exact null-space basis of the evaluated linear system over the
     zeta-jet coordinates of order <= n.  The system is prolonged to
-    order n if needed; equations of higher order are not evaluated."""
+    order n if needed; equations of higher order are not evaluated.
+    L is a linear system or a FreenessProblem, whose prolongations are
+    reused; the solve itself is always done afresh."""
     rows, coords = evaluated_rows(L, n, z0)
-    vecs = nullspace(rows, len(coords))
-    elements = []
-    for vec in vecs:
-        coeffs = {(a, B): vec[i] for i, (a, B, _) in enumerate(coords)}
-        elements.append(VectorFieldJet(L.space, n, tuple(z0), coeffs))
-    return FiberBasis(tuple(z0), n, elements)
+    return basis_from_rows(L.space, n, z0, rows, coords)
 
 
-def vanishing_fiber_basis(L: LinearDeterminingSystem, n: int, z0: tuple) -> FiberBasis:
+def vanishing_fiber_basis(L, n: int, z0: tuple) -> FiberBasis:
     """Basis of the subspace of the fiber whose order-0 components vanish."""
     rows, coords = evaluated_rows(L, n, z0)
-    m = L.space.m
-    for a in range(m):
-        row = [scalar(1) if (ca == a and B == ()) else scalar(0) for ca, B, _ in coords]
-        rows.append(row)
-    vecs = nullspace(rows, len(coords))
-    elements = []
-    for vec in vecs:
-        coeffs = {(a, B): vec[i] for i, (a, B, _) in enumerate(coords)}
-        elements.append(VectorFieldJet(L.space, n, tuple(z0), coeffs))
-    return FiberBasis(tuple(z0), n, elements)
+    for a in range(L.space.m):
+        rows.append([scalar(1) if (ca == a and B == ()) else scalar(0) for ca, B, _ in coords])
+    return basis_from_rows(L.space, n, z0, rows, coords)
 
 
-def fiber_rank(L: LinearDeterminingSystem, n: int, z0: tuple) -> int:
+def fiber_rank(L, n: int, z0: tuple) -> int:
     """Rank of the evaluated system at z0 (fiber codimension)."""
     rows, _ = evaluated_rows(L, n, z0)
     return rank(rows)
 
 
-def jet_satisfies(L: LinearDeterminingSystem, v: VectorFieldJet) -> bool:
+def jet_satisfies(L, v: VectorFieldJet) -> bool:
     """Exact membership test of a vector-field jet in the solution space of
     the order-truncated system at its base point."""
-    ctx = context_for(L.space)
-    n = v.order
-    Lp = prolong_linear_system(L, max(0, n - L.order))
-    env = {ctx.source_var(a): v.base[a] for a in range(L.space.m)}
+    problem = FreenessProblem.of(L)
+    ctx = context_for(problem.space)
+    env = {ctx.source_var(a): v.base[a] for a in range(problem.space.m)}
     for (a, B), val in v.coeffs.items():
         env[ctx.vf_var(a, B)] = val
-    for e in Lp.equations:
-        if _max_order(ctx, e, "vf") > n:
-            continue
+    for e in problem.equations(v.order):
         try:
             if e.eval(env) != 0:
                 return False
@@ -375,11 +419,9 @@ def validate_consistency(
     import random
 
     rng = random.Random(seed)
-    lin = linearize(ds)
-    dec = LinearDeterminingSystem(ds.space, ds.effective_order, ds.infinitesimal)
+    lin = FreenessProblem(linearize(ds))
+    dec = FreenessProblem(LinearDeterminingSystem(ds.space, ds.effective_order, ds.infinitesimal))
     for n in range(ds.base_order, ds.base_order + extra_orders + 1):
-        lin_n = prolong_linear_system(lin, n - lin.order)
-        dec_n = prolong_linear_system(dec, n - dec.order)
         checked = 0
         attempts = 0
         while checked < points:
@@ -390,8 +432,8 @@ def validate_consistency(
                 )
             z0 = random_point(ds.space, rng)
             try:
-                fa = fiber_basis(lin_n, n, z0)
-                fb = fiber_basis(dec_n, n, z0)
+                fa = fiber_basis(lin, n, z0)
+                fb = fiber_basis(dec, n, z0)
             except CoefficientSingularity:
                 continue
             if fa.dimension != fb.dimension:
@@ -400,26 +442,27 @@ def validate_consistency(
                     f"dimensions {fa.dimension} vs {fb.dimension}"
                 )
             for v in fa.elements:
-                if not jet_satisfies(dec_n, v):
+                if not jet_satisfies(dec, v):
                     raise PreconditionViolation(
                         f"linearized fiber is not contained in the declared fiber at {z0}"
                     )
             for v in fb.elements:
-                if not jet_satisfies(lin_n, v):
+                if not jet_satisfies(lin, v):
                     raise PreconditionViolation(
                         f"declared fiber is not contained in the linearized fiber at {z0}"
                     )
             checked += 1
 
 
-def check_regularity(L: LinearDeterminingSystem, n: int, points: list[tuple]) -> list[int]:
+def check_regularity(L, n: int, points: list[tuple]) -> list[int]:
     """Evaluate the system rank at each point; warn when the rank jumps
     between points (the pseudogroup bundle may fail to be a smooth,
     embedded subbundle there).  Returns the rank profile."""
+    problem = FreenessProblem.of(L)
     ranks = []
     for z0 in points:
         try:
-            ranks.append(fiber_rank(L, n, z0))
+            ranks.append(fiber_rank(problem, n, z0))
         except CoefficientSingularity:
             ranks.append(-1)
     good = [r for r in ranks if r >= 0]

@@ -319,7 +319,7 @@ def _newton_frame(
         env = dict(zip(vids, x))
         try:
             fvals = [float(e.eval(env)) for e in eqs]
-        except (ZeroDivisionError, DivisionByZero):
+        except (ZeroDivisionError, DivisionByZero, OverflowError):
             return None
         if max(abs(v) for v in fvals) <= config.newton_tolerance:
             try:
@@ -328,7 +328,7 @@ def _newton_frame(
                 return None
         try:
             jvals = [[float(e.eval(env)) for e in row] for row in jac]
-        except (ZeroDivisionError, DivisionByZero):
+        except (ZeroDivisionError, DivisionByZero, OverflowError):
             return None
         cols = len(vids)
         normal = [

@@ -27,13 +27,11 @@ from dataclasses import dataclass, field
 
 from .detsys import (
     FiberBasis,
-    LinearDeterminingSystem,
+    FreenessProblem,
     PseudogroupSpec,
-    declared_linear_system,
+    basis_from_rows,
     evaluated_rows,
-    fiber_basis,
     prolong_determining_system,
-    prolong_linear_system,
     vanishing_fiber_basis,
 )
 from .errors import (
@@ -52,6 +50,7 @@ from .prolong import (
     DiffeoJet,
     SubmanifoldJetPoint,
     VectorFieldJet,
+    _point_env,
     act_on_jet,
     context_for,
     prolong_at_point,
@@ -65,12 +64,9 @@ NOT_LOCALLY_FREE = "NOT_LOCALLY_FREE"
 TRIVIAL = "TRIVIAL"
 NONTRIVIAL = "NONTRIVIAL"
 UNDECIDED = "UNDECIDED"
-
-
-def _as_linear(ps) -> LinearDeterminingSystem:
-    if isinstance(ps, LinearDeterminingSystem):
-        return ps
-    return declared_linear_system(ps)
+PERSISTS = "PERSISTS"
+COUNTEREXAMPLE = "COUNTEREXAMPLE"
+INCONCLUSIVE = "INCONCLUSIVE"
 
 
 def _combine(basis: FiberBasis, vec: list[Scalar]) -> VectorFieldJet:
@@ -123,16 +119,31 @@ class FreenessVerdict:
 def _restricted_matrix(
     ctx: JetContext, z: SubmanifoldJetPoint, basis: FiberBasis
 ) -> tuple[list, list[list[Scalar]]]:
-    mat, rows, cols = prolong_at_point(ctx, z)
+    """prolong_at_point(ctx, z) times the basis elements, without the dense
+    matrix: each row's phihat coefficients are evaluated once at z, the
+    zero ones dropped, and the rest paired with each element's nonzero
+    coefficients only."""
+    n = z.order
+    env = _point_env(ctx, z)
+    key_of = {vid: (a, B) for a, B, vid in ctx.vf_coords(n)}
+    rows = ctx.jn_coords(n)
+    nonzero = [
+        {key: c for key, c in elem.coeffs.items() if c != 0} for elem in basis.elements
+    ]
     entries = []
-    for line in mat:
+    for row in rows:
+        if row[0] == "x":
+            terms = [((row[1], ()), scalar(1))]
+        else:
+            terms = []
+            for vid, ce in ctx.phihat_coeffs(row[1], row[2]):
+                c = ce.eval(env)
+                if c != 0:
+                    terms.append((key_of[vid], c))
         entries.append(
             [
-                sum(
-                    (c * elem.coeffs[key] for c, key in zip(line, cols)),
-                    scalar(0),
-                )
-                for elem in basis.elements
+                sum((c * nz[key] for key, c in terms if key in nz), scalar(0))
+                for nz in nonzero
             ]
         )
     return rows, entries
@@ -140,15 +151,19 @@ def _restricted_matrix(
 
 def prolongation_matrix(ps, n: int, z: SubmanifoldJetPoint) -> ProlongationMatrix:
     """Matrix of the prolonged action's differential at z over an exact
-    basis of the order-n vector-field jet fiber at the base point."""
-    L = _as_linear(ps)
-    if z.space != L.space:
+    basis of the order-n vector-field jet fiber at the base point.
+
+    ps is a PseudogroupSpec, a LinearDeterminingSystem or a
+    FreenessProblem; pass the same FreenessProblem to reuse its
+    prolongations and fibers across points."""
+    problem = FreenessProblem.of(ps)
+    if z.space != problem.space:
         raise PreconditionViolation("jet point lives on a different space")
     if z.order < n:
         raise OrderMismatch(f"need an order-{n} jet point, got order {z.order}")
     zn = z.truncate(n)
-    ctx = context_for(L.space)
-    basis = fiber_basis(L, n, zn.base)
+    ctx = context_for(problem.space)
+    basis = problem.fiber(n, zn.base)
     rows, entries = _restricted_matrix(ctx, zn, basis)
     return ProlongationMatrix(n, zn, rows, basis, entries)
 
@@ -168,10 +183,10 @@ def local_freeness(ps, n: int, z: SubmanifoldJetPoint) -> FreenessVerdict:
 def isotropy_algebra(ps, n: int, z: SubmanifoldJetPoint) -> FiberBasis:
     """Kernel of the prolonged differential restricted to the fiber jets
     whose order-0 part vanishes (infinitesimal isotropy at the point)."""
-    L = _as_linear(ps)
+    problem = FreenessProblem.of(ps)
     zn = z.truncate(n) if z.order > n else z
-    ctx = context_for(L.space)
-    vb = vanishing_fiber_basis(L, n, zn.base)
+    ctx = context_for(problem.space)
+    vb = vanishing_fiber_basis(problem, n, zn.base)
     if vb.dimension == 0:
         return FiberBasis(zn.base, n, [])
     _, entries = _restricted_matrix(ctx, zn, vb)
@@ -208,6 +223,15 @@ class PersistenceReport:
     def all_free(self) -> bool:
         return not self.failures
 
+    @property
+    def verdict(self) -> str:
+        """PERSISTS when lifts were checked and all were free,
+        COUNTEREXAMPLE on a flipped lift, INCONCLUSIVE when no lift could
+        be checked at all."""
+        if self.failures:
+            return COUNTEREXAMPLE
+        return PERSISTS if self.lifts_checked else INCONCLUSIVE
+
 
 def persistence_sweep(
     ps,
@@ -221,14 +245,21 @@ def persistence_sweep(
     """Re-test local freeness on seeded random rational lifts of z^(n) to
     every order n+1..through.
 
-    Requires local freeness at z^(n) itself (NotFreeAtBase otherwise).
-    Lifts where the coefficient evaluation degenerates are skipped, not
-    counted as failures.  The sweep stops at the first counterexample
-    and records the lift and kernel for inspection.
+    Requires local freeness at z^(n) itself (NotFreeAtBase otherwise)
+    and at least one sample per order.  Lifts where the coefficient
+    evaluation degenerates are skipped, not counted as failures; a sweep
+    that skipped every lift is INCONCLUSIVE.  The sweep stops at the
+    first counterexample and records the lift and kernel for inspection.
+
+    One FreenessProblem serves the base point and every lift, so each
+    order's fiber at the shared base point is solved once.
     """
     if through < n:
         raise PreconditionViolation("sweep must go through at least the base order")
-    base = local_freeness(ps, n, z)
+    if samples < 1:
+        raise PreconditionViolation(f"need at least one sample per order, got {samples}")
+    problem = FreenessProblem.of(ps)
+    base = local_freeness(problem, n, z)
     if not base.is_free:
         raise NotFreeAtBase(
             f"not locally free at the base point (kernel dimension {base.kernel_dimension})"
@@ -242,7 +273,7 @@ def persistence_sweep(
         for _ in range(samples):
             lift = lift_jet_point(zn, order - n, rng, bound)
             try:
-                verdict = local_freeness(ps, order, lift)
+                verdict = local_freeness(problem, order, lift)
             except (CoefficientSingularity, SingularTotalJacobian):
                 skipped += 1
                 continue
@@ -300,12 +331,11 @@ def witness_candidates(ps, n: int, z: SubmanifoldJetPoint) -> list[VectorFieldJe
     """Basis of order-(n+1) fiber jets that vanish to order n and satisfy
     the kernel equations at z^(n+1): the candidate obstructions to
     persistence.  Empty (only v = 0) at free points."""
-    L = _as_linear(ps)
+    problem = FreenessProblem.of(ps)
     if z.order < n + 1:
         raise OrderMismatch("need the point to order n+1")
     z1 = z.truncate(n + 1)
-    ctx = context_for(L.space)
-    rows, coords = evaluated_rows(L, n + 1, z1.base)
+    rows, coords = evaluated_rows(problem, n + 1, z1.base)
     for e in kernel_equations(n, z1):
         rows.append([e.diff(vid).as_scalar() for _, _, vid in coords])
     for idx, (_, B, _) in enumerate(coords):
@@ -313,12 +343,7 @@ def witness_candidates(ps, n: int, z: SubmanifoldJetPoint) -> list[VectorFieldJe
             row = [scalar(0)] * len(coords)
             row[idx] = scalar(1)
             rows.append(row)
-    vecs = nullspace(rows, len(coords))
-    out = []
-    for vec in vecs:
-        coeffs = {(a, B): vec[i] for i, (a, B, _) in enumerate(coords)}
-        out.append(VectorFieldJet(L.space, n + 1, z1.base, coeffs))
-    return out
+    return basis_from_rows(problem.space, n + 1, z1.base, rows, coords).elements
 
 
 @dataclass
@@ -350,8 +375,8 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
     of the prolonged differential.  When the order-n projection of the
     point is locally free this forces every witness, hence v, to zero.
     """
-    L = _as_linear(ps)
-    space = L.space
+    problem = FreenessProblem.of(ps)
+    space = problem.space
     if z.order < n + 1:
         raise OrderMismatch("need the point to order n+1")
     z1 = z.truncate(n + 1)
@@ -365,13 +390,10 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
                 f"coefficient {(a, B)} = {val}"
             )
     ctx = context_for(space)
-    Lp = prolong_linear_system(L, max(0, n + 1 - L.order))
     env = {ctx.source_var(a): z1.base[a] for a in range(space.m)}
     for (a, B), val in v.coeffs.items():
         env[ctx.vf_var(a, B)] = val
-    for e in Lp.equations:
-        if ctx.max_order(e, "vf") > n + 1:
-            continue
+    for e in problem.equations(n + 1):
         if e.eval(env) != 0:
             raise PreconditionViolation(
                 f"candidate violates the prolonged determining equation {e}"
@@ -408,14 +430,12 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
         witnesses.append((f"what_{space.source_names[e_slot]}", w))
 
     ok = True
-    Ln = prolong_linear_system(L, max(0, n - L.order))
+    fiber_equations = problem.equations(n)
     for label, w in witnesses:
         wenv = {ctx.source_var(a): z1.base[a] for a in range(m)}
         for (a, B), val in w.coeffs.items():
             wenv[ctx.vf_var(a, B)] = val
-        for e in Ln.equations:
-            if ctx.max_order(e, "vf") > n:
-                continue
+        for e in fiber_equations:
             if e.eval(wenv) != 0:
                 raise PreconditionViolation(
                     f"witness {label} left the fiber: violates {e}"
@@ -425,7 +445,7 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
                 f"witness {label} is not in the kernel of the prolonged differential"
             )
 
-    free = local_freeness(ps, n, zn).is_free
+    free = local_freeness(problem, n, zn).is_free
     zero = all(w.is_zero() for _, w in witnesses) and v.is_zero()
     if free and not zero:
         raise PreconditionViolation(

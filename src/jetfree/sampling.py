@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .detsys import PseudogroupSpec, _max_order, prolong_determining_system
+from .detsys import PseudogroupSpec, prolong_determining_system
 from .errors import NoSolution, PreconditionViolation, SingularJet
 from .jetspace import MultiIndex, SpaceSpec, mi_enumerate
 from .prolong import DiffeoJet, SubmanifoldJetPoint, context_for
@@ -87,7 +87,7 @@ def sample_group_jet(
     eqs = prolong_determining_system(ds, n - ds.effective_order)
     by_stage: dict[int, list[Expr]] = {k: [] for k in range(n + 1)}
     for e in eqs:
-        by_stage[max(_max_order(ctx, e, "target"), 0)].append(e)
+        by_stage[max(ctx.max_order(e, "target"), 0)].append(e)
     base_map = {ctx.source_var(a): Expr.const(ctx.reg, z0[a]) for a in range(m)}
     last_error: Exception | None = None
     for _ in range(max_tries):

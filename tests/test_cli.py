@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -290,7 +291,62 @@ def test_persistence_precondition_errors(capsys, tmp_path):
     assert rc == 2 and "order" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_persistence_without_samples_exits_2(capsys, tmp_path, samples):
+    pt = _point_file(tmp_path, P_FREE)
+    rc, out, _ = _run(capsys, ["persistence", "e1", "--order", "1", "--point", pt,
+                               "--through", "3", "--samples", samples, "--json"])
+    assert rc == 2
+    doc = _report(out)
+    assert doc["verdict"] == "ERROR"
+    assert "sample" in doc["error"]
+
+
+def test_persistence_all_lifts_skipped_is_inconclusive(capsys, tmp_path, monkeypatch):
+    import jetfree.freeness as freeness
+    from jetfree.errors import CoefficientSingularity
+
+    real = freeness.local_freeness
+
+    def singular_on_lifts(ps, n, z):
+        if n > 1:
+            raise CoefficientSingularity("forced singular lift")
+        return real(ps, n, z)
+
+    monkeypatch.setattr(freeness, "local_freeness", singular_on_lifts)
+    pt = _point_file(tmp_path, P_FREE)
+    argv = ["persistence", "e1", "--order", "1", "--point", pt,
+            "--through", "3", "--samples", "4", "--seed", "0"]
+    rc, out, _ = _run(capsys, argv + ["--json"])
+    assert rc == 1
+    doc = _report(out)
+    assert doc["verdict"] == "INCONCLUSIVE"
+    assert (doc["lifts_checked"], doc["skipped"]) == (0, 8)
+    assert doc["failures"] == []
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 1
+    assert out.startswith("INCONCLUSIVE")
+
+
 # -- frame --------------------------------------------------------------------------
+
+
+def test_frame_float_overflow_exits_2(capsys, tmp_path):
+    # the float Newton fallback overflows on this p = 2 point
+    spec = str(Path(__file__).parent / "specs" / "p2.psg")
+    pt = _point_file(tmp_path, {
+        "order": 1,
+        "independent": {"x": "0", "y": "1"},
+        "dependent": {"u": "0"},
+        "jets": {"u.x": "-1", "u.y": "-3"},
+    })
+    cs = '{"fix": {"x":"0","y":"0","u.x":"1","u.y":"1"}}'
+    rc, out, _ = _run(capsys, ["frame", spec, "--order", "1", "--point", pt,
+                               "--cross-section", cs, "--json"])
+    assert rc == 2
+    doc = _report(out)
+    assert doc["verdict"] == "ERROR"
+    assert "did not converge" in doc["error"]
 
 
 def test_frame_report_matches_contract(capsys, tmp_path):

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 from jetfree.detsys import LinearDeterminingSystem, PseudogroupSpec
-from jetfree.errors import NotFreeAtBase, PreconditionViolation
+from jetfree.errors import CoefficientSingularity, NotFreeAtBase, PreconditionViolation
 from jetfree.freeness import (
+    INCONCLUSIVE,
     LOCALLY_FREE,
     NONTRIVIAL,
     NOT_LOCALLY_FREE,
+    PERSISTS,
     TRIVIAL,
     UNDECIDED,
     frozen_total_derivative,
@@ -242,6 +244,29 @@ def test_persistence_sweep_deterministic():
     assert a == b
     c = persistence_sweep(_e1(), 1, _pt(0, 0, 1), through=3, samples=6, seed=18)
     assert c.all_free and c != a
+
+
+def test_persistence_sweep_needs_a_sample():
+    for samples in (0, -3):
+        with pytest.raises(PreconditionViolation):
+            persistence_sweep(_e1(), 1, _pt(0, 0, 1), through=3, samples=samples, seed=0)
+
+
+def test_persistence_sweep_all_skipped_is_inconclusive(monkeypatch):
+    import jetfree.freeness as freeness
+
+    real = freeness.local_freeness
+
+    def singular_on_lifts(ps, n, z):
+        if n > 1:
+            raise CoefficientSingularity("forced singular lift")
+        return real(ps, n, z)
+
+    assert persistence_sweep(_e1(), 1, _pt(0, 0, 1), through=2, samples=2, seed=0).verdict == PERSISTS
+    monkeypatch.setattr(freeness, "local_freeness", singular_on_lifts)
+    rep = persistence_sweep(_e1(), 1, _pt(0, 0, 1), through=3, samples=4, seed=0)
+    assert (rep.lifts_checked, rep.skipped, rep.failures) == (0, 8, [])
+    assert rep.verdict == INCONCLUSIVE
 
 
 def test_kernel_projection_lands_in_lower_kernel():

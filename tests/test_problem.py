@@ -1,0 +1,142 @@
+"""FreenessProblem reuse against the full per-point recomputation.
+
+The oracle rebuilds everything for each point: a fresh fiber basis from
+the declared system and the dense prolong_at_point matrix times that
+basis.  Verdicts, fiber dimensions, restricted matrices and kernel bases
+computed through one reused FreenessProblem must agree with it exactly.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from jetfree.detsys import FreenessProblem, declared_linear_system, fiber_basis
+from jetfree.dsl import SpecSource, load_bundled_spec, parse_spec
+from jetfree.freeness import (
+    LOCALLY_FREE,
+    NOT_LOCALLY_FREE,
+    local_freeness,
+    prolongation_matrix,
+)
+from jetfree.jetspace import mi_enumerate
+from jetfree.linalg import nullspace
+from jetfree.prolong import SubmanifoldJetPoint, context_for, prolong_at_point
+from jetfree.sampling import lift_jet_point
+
+P2 = Path(__file__).parent / "specs" / "p2.psg"
+
+
+def _spec(name):
+    src = SpecSource.from_file(P2) if name == "p2" else load_bundled_spec(name)
+    spec, diags = parse_spec(src)
+    assert spec is not None and not diags, name
+    return spec
+
+
+def _rational(rng, nonzero=False):
+    while True:
+        v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        if v or not nonzero:
+            return v
+
+
+def _point(name, space, n, rng, free):
+    """Seeded order-n point.  The closed-form freeness condition is u_x != 0
+    for e1 and e2, u != 0 for e3, u_x u_y != 0 for p2.  Non-free points
+    zero u_x (e1, p2), u (e3), or every jet of order >= 1 (e2)."""
+    u = {(0, J): _rational(rng) for k in range(n + 1) for J in mi_enumerate(space.p, k)}
+    tested = {"e3": [()], "p2": [(0,), (1,)]}.get(name, [(0,)])
+    if free:
+        for J in tested:
+            u[(0, J)] = _rational(rng, nonzero=True)
+    elif name == "e2":
+        u = {key: (v if not key[1] else Fraction(0)) for key, v in u.items()}
+    else:
+        u[(0, tested[0])] = Fraction(0)
+    x = tuple(_rational(rng) for _ in range(space.p))
+    return SubmanifoldJetPoint(space, n, x, u)
+
+
+def _oracle(spec, n, z):
+    """(fiber dimension, restricted matrix, kernel basis coefficients),
+    recomputed in full with the dense matrix."""
+    ctx = context_for(spec.space)
+    basis = fiber_basis(declared_linear_system(spec), n, z.base)
+    mat, _, cols = prolong_at_point(ctx, z)
+    entries = [
+        [sum((c * elem.coeffs[key] for c, key in zip(line, cols)), Fraction(0)) for elem in basis.elements]
+        for line in mat
+    ]
+    kernel = []
+    for vec in nullspace(entries, basis.dimension):
+        coeffs = {key: Fraction(0) for key in basis.elements[0].coeffs}
+        for c, elem in zip(vec, basis.elements):
+            for key, val in elem.coeffs.items():
+                coeffs[key] += c * val
+        kernel.append(coeffs)
+    return basis.dimension, entries, kernel
+
+
+def _assert_agrees(spec, problem, n, z):
+    fdim, entries, kernel = _oracle(spec, n, z)
+    assert prolongation_matrix(problem, n, z).entries == entries
+    v = local_freeness(problem, n, z)
+    assert v.fiber_dimension == fdim
+    assert [w.coeffs for w in v.kernel_basis] == kernel
+    assert v.verdict == (LOCALLY_FREE if not kernel else NOT_LOCALLY_FREE)
+    assert v.orbit_dimension == fdim - len(kernel)
+    return v
+
+
+CASES = [("e1", 1, 3), ("e2", 2, 3), ("e3", 1, 3), ("p2", 1, 2)]
+
+
+@pytest.mark.parametrize("name,low,high", CASES)
+def test_reused_problem_matches_full_recomputation(name, low, high):
+    spec = _spec(name)
+    rng = random.Random(f"problem:{name}")
+    problem = FreenessProblem.of(spec)
+    verdicts = set()
+    for free in (True, False):
+        for _ in range(3):
+            z = _point(name, spec.space, low, rng, free)
+            base = _assert_agrees(spec, problem, low, z)
+            verdicts.add(base.verdict)
+            for order in range(low + 1, high + 1):
+                for _ in range(2):
+                    lift = lift_jet_point(z, order - low, rng, 6)
+                    verdicts.add(_assert_agrees(spec, problem, order, lift).verdict)
+    assert verdicts == {LOCALLY_FREE, NOT_LOCALLY_FREE}
+
+
+@pytest.mark.parametrize("name,low,high", CASES)
+def test_reused_problem_matches_fresh_problem_per_lift(name, low, high):
+    spec = _spec(name)
+    rng = random.Random(f"lifts:{name}")
+    shared = FreenessProblem.of(spec)
+    for free in (True, False):
+        z = _point(name, spec.space, low, rng, free)
+        for order in range(low, high + 1):
+            for _ in range(4):
+                lift = lift_jet_point(z, order - low, rng, 6)
+                a = local_freeness(shared, order, lift)
+                b = local_freeness(FreenessProblem.of(spec), order, lift)
+                # lifts of a non-free point may be free (e2 at order 3)
+                assert a.verdict == b.verdict
+                assert a.fiber_dimension == b.fiber_dimension
+                assert [w.coeffs for w in a.kernel_basis] == [w.coeffs for w in b.kernel_basis]
+            # every lift of z shares the fiber of its base point
+            assert shared.fiber(order, z.base) is shared.fiber(order, lift.base)
+
+
+def test_problem_prolongs_each_order_once():
+    spec = _spec("e1")
+    problem = FreenessProblem.of(spec)
+    assert FreenessProblem.of(problem) is problem
+    assert problem.prolonged(3) is problem.prolonged(3)
+    assert problem.prolonged(0) is problem.prolonged(problem.system.order)
+    assert FreenessProblem.of(problem.system).system is problem.system
