@@ -206,9 +206,16 @@ def _load_point(space, path: str) -> SubmanifoldJetPoint:
     return point_from_document(space, doc)
 
 
-def _finish(doc: dict, args, t0: float) -> None:
-    if getattr(args, "timing", False):
-        doc["timing_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+def _publish(doc: dict, args, lines: list[str]) -> None:
+    """Emit the report: the JSON document with --json, else the text
+    lines.  With --timing the document records the command's wall time."""
+    if args.timing:
+        doc["timing_ms"] = round((time.perf_counter() - args.started) * 1000.0, 3)
+    if args.json:
+        _emit(doc)
+    else:
+        for line in lines:
+            print(line)
 
 
 def _fail(args, message: str, **extra) -> int:
@@ -242,7 +249,6 @@ def cmd_parse(args) -> int:
 
 
 def cmd_freeness(args) -> int:
-    t0 = time.perf_counter()
     spec = _require_spec(args.spec)
     z = _load_point(spec.space, args.point)
     if z.order != args.order:
@@ -255,19 +261,15 @@ def cmd_freeness(args) -> int:
     doc["kernel_dimension"] = verdict.kernel_dimension
     doc["kernel_basis"] = [vf_to_document(v) for v in verdict.kernel_basis]
     doc["orbit_dimension"] = verdict.orbit_dimension
-    _finish(doc, args, t0)
-    if args.json:
-        _emit(doc)
-    else:
-        print(
-            f"{verdict.verdict} at order {args.order}: kernel dimension "
-            f"{verdict.kernel_dimension}, orbit dimension {verdict.orbit_dimension}"
-        )
+    text = (
+        f"{verdict.verdict} at order {args.order}: kernel dimension "
+        f"{verdict.kernel_dimension}, orbit dimension {verdict.orbit_dimension}"
+    )
+    _publish(doc, args, [text])
     return 0 if verdict.verdict == LOCALLY_FREE else 1
 
 
 def cmd_persistence(args) -> int:
-    t0 = time.perf_counter()
     spec = _require_spec(args.spec)
     if args.order < spec.effective_order:
         raise PreconditionViolation(
@@ -300,27 +302,23 @@ def cmd_persistence(args) -> int:
         }
         for f in rep.failures
     ]
-    _finish(doc, args, t0)
-    if args.json:
-        _emit(doc)
-    elif rep.verdict == PERSISTS:
-        print(
+    if rep.verdict == PERSISTS:
+        text = (
             f"PERSISTS: {rep.lifts_checked} lifts locally free through order "
             f"{args.through} ({rep.skipped} skipped)"
         )
     elif rep.verdict == INCONCLUSIVE:
-        print(f"INCONCLUSIVE: all {rep.skipped} lifts through order {args.through} were skipped")
+        text = f"INCONCLUSIVE: all {rep.skipped} lifts through order {args.through} were skipped"
     else:
-        first = rep.failures[0]
-        print(
-            f"COUNTEREXAMPLE at order {first.order}: see --json for the lift "
+        text = (
+            f"COUNTEREXAMPLE at order {rep.failures[0].order}: see --json for the lift "
             "and kernel element"
         )
+    _publish(doc, args, [text])
     return 0 if rep.verdict == PERSISTS else 1
 
 
 def cmd_frame(args) -> int:
-    t0 = time.perf_counter()
     spec = _require_spec(args.spec)
     try:
         cs_doc = json.loads(args.cross_section)
@@ -373,11 +371,7 @@ def cmd_frame(args) -> int:
     except NoSolution as exc:
         doc["verdict"] = "OUTSIDE_CHART"
         doc["error"] = str(exc)
-        _finish(doc, args, t0)
-        if args.json:
-            _emit(doc)
-        else:
-            print(f"OUTSIDE_CHART: {exc}")
+        _publish(doc, args, [f"OUTSIDE_CHART: {exc}"])
         return 1
     doc["verdict"] = "NORMALIZED"
     doc["frame"] = jet_to_document(res.jet)
@@ -391,21 +385,14 @@ def cmd_frame(args) -> int:
         }
     else:
         doc["invariants"] = None
-    _finish(doc, args, t0)
-    if args.json:
-        _emit(doc)
-    else:
-        print(f"NORMALIZED ({'exact' if res.exact else 'float'})")
-        for name, value in sorted(doc["frame"].items()):
-            print(f"  {name} = {value}")
-        if doc["invariants"] is not None:
-            for name, value in doc["invariants"].items():
-                print(f"  invariant {name} = {value}")
+    lines = [f"NORMALIZED ({'exact' if res.exact else 'float'})"]
+    lines += [f"  {name} = {value}" for name, value in sorted(doc["frame"].items())]
+    lines += [f"  invariant {name} = {value}" for name, value in (doc["invariants"] or {}).items()]
+    _publish(doc, args, lines)
     return 0
 
 
 def cmd_isotropy(args) -> int:
-    t0 = time.perf_counter()
     spec = _require_spec(args.spec)
     z = _load_point(spec.space, args.point)
     if z.order < args.order:
@@ -416,14 +403,10 @@ def cmd_isotropy(args) -> int:
     doc = _report("isotropy", spec.name, args.order, point_to_document(rep.point))
     doc["verdict"] = rep.status
     doc["witness"] = jet_to_document(rep.witness) if rep.witness is not None else None
-    _finish(doc, args, t0)
-    if args.json:
-        _emit(doc)
-    else:
-        print(rep.status)
-        if rep.witness is not None:
-            for name, value in sorted(jet_to_document(rep.witness).items()):
-                print(f"  {name} = {value}")
+    lines = [rep.status]
+    if rep.witness is not None:
+        lines += [f"  {name} = {value}" for name, value in sorted(doc["witness"].items())]
+    _publish(doc, args, lines)
     return 0 if rep.status == TRIVIAL else 1
 
 
@@ -482,6 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except JetfreeError as exc:

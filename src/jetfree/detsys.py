@@ -26,7 +26,7 @@ from .errors import (
     RegularityWarning,
     UnboundVariable,
 )
-from .jetspace import JetContext, MultiIndex, SpaceSpec, mi_enumerate
+from .jetspace import JetContext, MultiIndex, SpaceSpec, mi_concat, mi_enumerate
 from .linalg import nullspace, rank
 from .prolong import VectorFieldJet, context_for
 from .symkernel import Expr, Scalar, scalar
@@ -84,26 +84,66 @@ class PseudogroupSpec:
         return n
 
 
+# one linear equation sum_J c_J(z) zeta_J: its (zeta vid, c_J) pairs with
+# c_J nonzero, sorted by vid
+Row = tuple[tuple[int, Expr], ...]
+
+
 @dataclass(frozen=True)
 class LinearDeterminingSystem:
     """Homogeneous linear system on vector-field jets, complete (closed
-    under total differentiation) up to the declared order."""
+    under total differentiation) up to the declared order.
+
+    Each equation is also held as a row of (zeta vid, coefficient)
+    pairs, extracted while the equations are validated.  Prolonged
+    systems are built from rows (:meth:`from_rows`) and materialize
+    their equations only when these are read."""
 
     space: SpaceSpec
     order: int
     equations: tuple[Expr, ...]
+    rows: tuple[Row, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "equations", tuple(self.equations))
         ctx = context_for(self.space)
+        rows = []
         for e in self.equations:
             _check_kinds(ctx, e, ("source", "vf"), "linear determining equation")
-            _assert_zeta_linear(ctx, e)
+            rows.append(_zeta_row(ctx, e))
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @classmethod
+    def from_rows(cls, space: SpaceSpec, order: int, rows) -> LinearDeterminingSystem:
+        """A system whose rows are linear by construction: nothing is
+        validated again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rows", tuple(rows))
+        return self
+
+    def __getattr__(self, name: str):
+        # reached only for the equations of a system built from rows
+        if name != "equations" or "rows" not in self.__dict__:
+            raise AttributeError(name)
+        ctx = context_for(self.space)
+        equations = tuple(_row_expr(ctx, row) for row in self.rows)
+        object.__setattr__(self, "equations", equations)
+        return equations
 
 
-def _assert_zeta_linear(ctx: JetContext, e: Expr) -> None:
-    """Structural check: degree-1 homogeneous in the zeta-variables."""
-    rebuilt = ctx.const(0)
+def _row_expr(ctx: JetContext, row: Row) -> Expr:
+    out = ctx.const(0)
+    for vid, coeff in row:
+        out = out + coeff * ctx.expr(vid)
+    return out
+
+
+def _zeta_row(ctx: JetContext, e: Expr) -> Row:
+    """The row of e; raises unless e is homogeneous of degree 1 in the
+    zeta-variables."""
+    row = []
     for vid in sorted(e.variables()):
         if ctx.info(vid)[0] != "vf":
             continue
@@ -113,11 +153,34 @@ def _assert_zeta_linear(ctx: JetContext, e: Expr) -> None:
                 raise PreconditionViolation(
                     "linear determining equation is not linear in the field jets"
                 )
-        rebuilt = rebuilt + coeff * ctx.expr(vid)
-    if not (rebuilt - e).is_zero():
+        row.append((vid, coeff))
+    if not (_row_expr(ctx, row) - e).is_zero():
         raise PreconditionViolation(
             "linear determining equation is not homogeneous in the field jets"
         )
+    return tuple(row)
+
+
+def _row_order(ctx: JetContext, row: Row) -> int:
+    return max((len(ctx.info(vid)[2]) for vid, _ in row), default=-1)
+
+
+def _row_derivative(ctx: JetContext, row: Row, b: int) -> Row:
+    """D_{z^b} sum_J c_J zeta_J = sum_J (d c_J / d z^b) zeta_J + c_J zeta_{J+b};
+    the coefficients depend on z alone."""
+    src = ctx.source_var(b)
+    out: dict[int, Expr] = {}
+
+    def add(vid: int, c: Expr) -> None:
+        out[vid] = out[vid] + c if vid in out else c
+
+    for vid, coeff in row:
+        dc = coeff.diff(src)
+        if not dc.is_zero():
+            add(vid, dc)
+        _, a, J = ctx.info(vid)
+        add(ctx.vf_var(a, mi_concat(J, b)), coeff)
+    return tuple((v, out[v]) for v in sorted(out) if not out[v].is_zero())
 
 
 @dataclass
@@ -208,19 +271,20 @@ def declared_linear_system(ds: PseudogroupSpec) -> LinearDeterminingSystem:
 # -- prolongation --------------------------------------------------------------------
 
 
-def _close(ctx: JetContext, equations, kind: str, n: int) -> list[Expr]:
-    """The equations plus all their total derivatives whose jets of the
-    given kind ("vf" or "target") have order at most n."""
-    out = list(equations)
+def _close(items, m: int, n: int, order_of, derivative) -> list:
+    """The items plus all their total derivatives D_{z^0}..D_{z^(m-1)}
+    taken from items of order below n, each once, in discovery order;
+    derivative returns a false value for a zero derivative."""
+    out = list(items)
     seen = set(out)
-    queue = list(equations)
+    queue = list(items)
     while queue:
         e = queue.pop()
-        if ctx.max_order(e, kind) >= n:
+        if order_of(e) >= n:
             continue
-        for c in range(ctx.space.m):
-            de = ctx.total_derivative(e, c)
-            if de.is_zero() or de in seen:
+        for c in range(m):
+            de = derivative(e, c)
+            if not de or de in seen:
                 continue
             seen.add(de)
             out.append(de)
@@ -235,7 +299,14 @@ def prolong_linear_system(L: LinearDeterminingSystem, k: int) -> LinearDetermini
     ctx = context_for(L.space)
     n = L.order + k
     ctx.ensure_vf(n)
-    return LinearDeterminingSystem(L.space, n, tuple(_close(ctx, L.equations, "vf", n)))
+    rows = _close(
+        L.rows,
+        ctx.space.m,
+        n,
+        lambda row: _row_order(ctx, row),
+        lambda row, b: _row_derivative(ctx, row, b),
+    )
+    return LinearDeterminingSystem.from_rows(L.space, n, rows)
 
 
 def prolong_determining_system(ds: PseudogroupSpec, k: int) -> list[Expr]:
@@ -248,7 +319,14 @@ def prolong_determining_system(ds: PseudogroupSpec, k: int) -> list[Expr]:
     ctx = context_for(ds.space)
     n = ds.effective_order + k
     ctx.ensure_target(n)
-    return _close(ctx, ds.determining, "target", n)
+
+    def derivative(e: Expr, b: int) -> Expr | None:
+        de = ctx.total_derivative(e, b)
+        return None if de.is_zero() else de
+
+    return _close(
+        ds.determining, ctx.space.m, n, lambda e: ctx.max_order(e, "target"), derivative
+    )
 
 
 # -- the point-independent layer -------------------------------------------------------
@@ -294,9 +372,14 @@ class FreenessProblem:
             self._prolonged[n] = Lp
         return Lp
 
+    def rows(self, n: int) -> list[Row]:
+        """Rows of the prolonged system involving field jets of order at
+        most n: the order-n truncation."""
+        ctx = context_for(self.space)
+        return [row for row in self.prolonged(n).rows if _row_order(ctx, row) <= n]
+
     def equations(self, n: int) -> list[Expr]:
-        """Equations of the prolonged system involving field jets of order
-        at most n: the order-n truncation."""
+        """The order-n truncation as equations."""
         ctx = context_for(self.space)
         return [e for e in self.prolonged(n).equations if ctx.max_order(e, "vf") <= n]
 
@@ -318,21 +401,19 @@ def evaluated_rows(
 ) -> tuple[list[list[Scalar]], list[tuple[int, MultiIndex, int]]]:
     """Coefficient matrix of the order-n truncation of L (a linear system
     or a FreenessProblem) evaluated at z0, with columns over all zeta-jet
-    coordinates of order <= n."""
+    coordinates of order <= n.  Only the rows' nonzero coefficients are
+    evaluated."""
     problem = FreenessProblem.of(L)
     ctx = context_for(problem.space)
     coords = ctx.vf_coords(n)
+    column = {vid: i for i, (_, _, vid) in enumerate(coords)}
     env = {ctx.source_var(a): z0[a] for a in range(problem.space.m)}
     rows = []
-    for e in problem.equations(n):
-        row = []
-        for _, _, vid in coords:
-            ce = e.diff(vid)
-            if ce.is_zero():
-                row.append(scalar(0))
-                continue
+    for entries in problem.rows(n):
+        row = [scalar(0)] * len(coords)
+        for vid, ce in entries:
             try:
-                row.append(ce.eval(env))
+                row[column[vid]] = ce.eval(env)
             except (DivisionByZero, ZeroDivisionError) as exc:
                 raise CoefficientSingularity(
                     f"coefficient denominator vanishes at the base point: {ce}"

@@ -120,33 +120,17 @@ def _restricted_matrix(
     ctx: JetContext, z: SubmanifoldJetPoint, basis: FiberBasis
 ) -> tuple[list, list[list[Scalar]]]:
     """prolong_at_point(ctx, z) times the basis elements, without the dense
-    matrix: each row's phihat coefficients are evaluated once at z, the
-    zero ones dropped, and the rest paired with each element's nonzero
-    coefficients only."""
-    n = z.order
-    env = _point_env(ctx, z)
-    key_of = {vid: (a, B) for a, B, vid in ctx.vf_coords(n)}
-    rows = ctx.jn_coords(n)
+    matrix: the order's phihat plan evaluates every row's coefficients at
+    z at once, dropping the zero ones, and the rest are paired with each
+    element's nonzero coefficients only."""
     nonzero = [
         {key: c for key, c in elem.coeffs.items() if c != 0} for elem in basis.elements
     ]
-    entries = []
-    for row in rows:
-        if row[0] == "x":
-            terms = [((row[1], ()), scalar(1))]
-        else:
-            terms = []
-            for vid, ce in ctx.phihat_coeffs(row[1], row[2]):
-                c = ce.eval(env)
-                if c != 0:
-                    terms.append((key_of[vid], c))
-        entries.append(
-            [
-                sum((c * nz[key] for key, c in terms if key in nz), scalar(0))
-                for nz in nonzero
-            ]
-        )
-    return rows, entries
+    entries = [
+        [sum((c * nz[key] for key, c in terms if key in nz), scalar(0)) for nz in nonzero]
+        for terms in ctx.phihat_plan(z.order).evaluate(_point_env(ctx, z))
+    ]
+    return ctx.jn_coords(z.order), entries
 
 
 def prolongation_matrix(ps, n: int, z: SubmanifoldJetPoint) -> ProlongationMatrix:

@@ -17,21 +17,24 @@ so the symmetry of mixed partials is structural.  Jet orders are capped:
 so existing expressions stay valid) and the derivative operators fail
 with :class:`~jetfree.errors.OrderCapExceeded` past the cap.
 
-The module also provides the three derivative operators used throughout:
-the total derivative D_{z^b} on diffeomorphism/vector-field jets, the
-lifted total derivative that additionally moves submanifold jets along
-the contact structure, and the invariant total derivative obtained by
-contracting with the exact inverse of the total Jacobian matrix.
+The context also provides the three derivative operators used
+throughout: the total derivative D_{z^b} on diffeomorphism/vector-field
+jets, the lifted total derivative that additionally moves submanifold
+jets along the contact structure, and the invariant total derivative
+obtained by contracting with the exact inverse of the total Jacobian
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
+from typing import Mapping
 
-from .errors import OrderCapExceeded, SingularJacobian
-from .symkernel import Expr, VarRegistry
+from .errors import OrderCapExceeded, SingularJacobian, UnboundVariable
+from .symkernel import Expr, Mono, VarRegistry
 
 MultiIndex = tuple[int, ...]
 
@@ -155,6 +158,7 @@ class JetContext:
         self._qtot: dict[tuple[int, MultiIndex], Expr] = {}
         self._phihat: dict[tuple[int, MultiIndex], Expr] = {}
         self._phihat_coeffs: dict[tuple[int, MultiIndex], tuple[tuple[int, Expr], ...]] = {}
+        self._phihat_plans: dict[int, PhihatPlan] = {}
 
     # -- naming --------------------------------------------------------------
 
@@ -428,14 +432,76 @@ class JetContext:
         self._phihat_coeffs[(al, J)] = out
         return out
 
+    def phihat_plan(self, n: int) -> PhihatPlan:
+        """The compiled phihat coefficients of every row of J^n."""
+        plan = self._phihat_plans.get(n)
+        if plan is None:
+            plan = PhihatPlan(self, n)
+            self._phihat_plans[n] = plan
+        return plan
 
-def total_derivative(ctx: JetContext, e: Expr, b: int) -> Expr:
-    return ctx.total_derivative(e, b)
 
+class PhihatPlan:
+    """Rows of the prolonged-action differential at order n, in jn_coords
+    order: each row's phihat coefficients (a 1 on zeta^i for an x^i row)
+    compiled to integer polynomial terms over one shared table of
+    monomials in (x, u-jets).  Evaluating the plan at a point evaluates
+    each monomial once for the whole matrix, in integer arithmetic."""
 
-def lifted_total_derivative(ctx: JetContext, e: Expr, j: int) -> Expr:
-    return ctx.lifted_total_derivative(e, j)
+    def __init__(self, ctx: JetContext, n: int):
+        ctx.ensure_vf(n)
+        monos: dict[Mono, int] = {}
+        degree: dict[int, int] = {}
+        rows = []
+        for row in ctx.jn_coords(n):
+            if row[0] == "x":
+                pairs: tuple[tuple[int, Expr], ...] = ((ctx.vf_var(row[1], ()), ctx.const(1)),)
+            else:
+                pairs = ctx.phihat_coeffs(row[1], row[2])
+            entries = []
+            for vid, coeff in pairs:
+                if not coeff.is_polynomial():
+                    raise ArithmeticError(f"phihat coefficient is not a polynomial: {coeff}")
+                den = lcm(*(c.denominator for c in coeff.num.values()))
+                terms = []
+                for m, c in coeff.num.items():
+                    if m not in monos:
+                        monos[m] = len(monos)
+                        for v, e in m:
+                            degree[v] = max(degree.get(v, 0), e)
+                    terms.append((monos[m], c.numerator * (den // c.denominator)))
+                entries.append((ctx.info(vid)[1:], den, tuple(terms)))
+            rows.append(tuple(entries))
+        self.monos: tuple[Mono, ...] = tuple(monos)
+        # (vid, highest exponent) of every variable the monomials use
+        self.degree: tuple[tuple[int, int], ...] = tuple(sorted(degree.items()))
+        # per row: ((a, B), denominator, ((monomial index, integer coefficient), ...))
+        self.rows: tuple = tuple(rows)
 
-
-def invariant_total_derivative(ctx: JetContext, e: Expr, j: int) -> Expr:
-    return ctx.invariant_total_derivative(e, j)
+    def evaluate(self, env: Mapping[int, Fraction]) -> list[list[tuple[tuple[int, MultiIndex], Fraction]]]:
+        """Each row's nonzero coefficients at the point env, as
+        ((a, B), value) pairs for the zeta-jet zeta^a_B."""
+        # every monomial's value is an integer over this common denominator
+        common = 1
+        for vid, e in self.degree:
+            try:
+                common *= env[vid].denominator ** e
+            except KeyError:
+                raise UnboundVariable(f"variable id {vid} not bound") from None
+        values = []
+        for m in self.monos:
+            num = den = 1
+            for vid, e in m:
+                x = env[vid]
+                num *= x.numerator ** e
+                den *= x.denominator ** e
+            values.append(common // den * num)
+        out = []
+        for entries in self.rows:
+            line = []
+            for key, den, terms in entries:
+                total = sum(a * values[i] for i, a in terms)
+                if total:
+                    line.append((key, Fraction(total, den * common)))
+            out.append(line)
+        return out

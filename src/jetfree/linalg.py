@@ -1,12 +1,13 @@
 """Exact linear algebra over rationals and over rational-function matrices.
 
-Rational matrices are lists of rows of ``Fraction``.  The forward pass
-clears denominators and runs fraction-free (Bareiss) elimination over
-integers; reduced echelon form, ranks, kernels, and affine solves are
-then exact by construction.  Rational-function matrices (entries
-:class:`~jetfree.symkernel.Expr`) get determinant and inverse through
-field elimination with structural zero tests, which canonical form makes
-decidable.
+Rational matrices are lists of rows of ``Fraction``.  Reduced echelon
+form, ranks, kernels and affine solves share one sparse fraction-free
+Gauss-Jordan elimination over integer rows, so they are exact by
+construction and cost little on the mostly-zero matrices of fiber and
+freeness problems; determinants use Bareiss elimination.
+Rational-function matrices (entries :class:`~jetfree.symkernel.Expr`)
+get determinant and inverse through field elimination with structural
+zero tests, which canonical form makes decidable.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .errors import NoSolution, SingularJacobian
 from .symkernel import Expr
 
 Row = list[Fraction]
+
+_ZERO = Fraction(0)
 
 
 def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -71,29 +74,90 @@ def _bareiss_forward(m: list[list[int]]) -> tuple[list[list[int]], list[int], in
     return m[:r], pivots, sign
 
 
+def _eliminate(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, dict[int, int]]]:
+    """Sparse fraction-free Gauss-Jordan elimination.
+
+    Each row is cleared of denominators into a dict of its nonzero
+    integer entries and kept primitive (content 1) after every update.
+    Columns are taken in order; a column's pivot is the sparsest unused
+    row with an entry there, and only the rows with an entry in the
+    pivot column are touched.  Returns the pivot rows as (pivot column,
+    entries) in column order; each pivot column has an entry in its own
+    pivot row only, so dividing each row by its pivot entry gives the
+    reduced row echelon form.
+    """
+    live: list[dict[int, int]] = []
+    where: dict[int, set[int]] = {}  # column -> rows with an entry there
+    for row in rows:
+        nz = [(j, c) for j, c in enumerate(row) if c]
+        lcm = math.lcm(*(c.denominator for _, c in nz)) if nz else 1
+        entries = _primitive({j: c.numerator * (lcm // c.denominator) for j, c in nz})
+        for j in entries:
+            where.setdefault(j, set()).add(len(live))
+        live.append(entries)
+    used: set[int] = set()
+    pivots: list[tuple[int, int]] = []
+    # elimination only moves entries into columns some row already uses
+    for c in sorted(where):
+        holders = where[c]
+        free = [i for i in holders if i not in used]
+        if not free:
+            continue
+        r = min(free, key=lambda i: (len(live[i]), i))
+        used.add(r)
+        prow = live[r]
+        p = prow[c]
+        for i in list(holders):
+            if i == r:
+                continue
+            old = live[i]
+            f = old[c]
+            g = math.gcd(p, f)
+            a, b = p // g, f // g
+            new = {j: a * v for j, v in old.items()}
+            for j, v in prow.items():
+                s = new.get(j, 0) - b * v
+                if s:
+                    new[j] = s
+                else:
+                    del new[j]
+            for j in old:
+                if j not in new:
+                    where[j].discard(i)
+            for j in new:
+                if j not in old:
+                    where[j].add(i)
+            live[i] = _primitive(new)
+        pivots.append((c, r))
+    return [(c, live[r]) for c, r in pivots]
+
+
+def _primitive(entries: dict[int, int]) -> dict[int, int]:
+    g = math.gcd(*entries.values()) if entries else 1
+    if g == 1:
+        return entries
+    return {j: v // g for j, v in entries.items()}
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form with unit pivots; returns (rows, pivot cols)."""
     if not rows:
         return [], []
-    ech, pivots, _ = _bareiss_forward(_clear_denominators(rows))
     ncols = len(rows[0])
-    red: list[Row] = [[Fraction(x) for x in row] for row in ech]
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        pv = red[k][c]
-        red[k] = [x / pv for x in red[k]]
-        for i in range(k):
-            f = red[i][c]
-            if f:
-                red[i] = [a - f * b for a, b in zip(red[i], red[k])]
+    red: list[Row] = []
+    pivots: list[int] = []
+    for c, entries in _eliminate(rows):
+        p = entries[c]
+        line = [_ZERO] * ncols
+        for j, v in entries.items():
+            line[j] = Fraction(v, p)
+        red.append(line)
+        pivots.append(c)
     return red, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots, _ = _bareiss_forward(_clear_denominators(rows))
-    return len(pivots)
+    return len(_eliminate(rows))
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
@@ -102,17 +166,18 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
     Each basis vector has value 1 in its free column and 0 in the others,
     so the result is deterministic and directly readable.
     """
-    if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    pivots = _eliminate(rows)
+    pivset = {c for c, _ in pivots}
     basis: list[Row] = []
-    for f in free:
-        v = [Fraction(0)] * ncols
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [_ZERO] * ncols
         v[f] = Fraction(1)
-        for k, c in enumerate(pivots):
-            v[c] = -red[k][f]
+        for c, entries in pivots:
+            x = entries.get(f)
+            if x:
+                v[c] = Fraction(-x, entries[c])
         basis.append(v)
     return basis
 
@@ -160,13 +225,6 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         return Fraction(0)
     # Bareiss: last pivot of the full forward pass is det of the integer matrix
     return sign * Fraction(ech[-1][pivots[-1]]) * scale
-
-
-def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[Row]:
-    return [
-        [sum((ra[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
-        for ra in a
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -894,34 +894,6 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation surface
-
-
-def expr_arith(a: Expr, b: Expr, op: str) -> Expr:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def expr_diff(e: Expr, v: VarId) -> Expr:
-    return e.diff(v)
-
-
-def expr_subst(e: Expr, bindings: Mapping[VarId, Expr]) -> Expr:
-    return e.subst(bindings)
-
-
-def expr_eval(e: Expr, point: Mapping[VarId, Fraction]) -> Fraction:
-    return e.eval(point)
-
-
-# ---------------------------------------------------------------------------
 # printing
 
 

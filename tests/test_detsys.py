@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from jetfree.detsys import (
     PseudogroupSpec,
     check_regularity,
     declared_linear_system,
+    evaluated_rows,
     fiber_basis,
     fiber_rank,
     jet_satisfies,
@@ -20,6 +22,7 @@ from jetfree.detsys import (
     validate_consistency,
     vanishing_fiber_basis,
 )
+from jetfree.dsl import SpecSource, load_bundled_spec, parse_spec
 from jetfree.errors import (
     CoefficientSingularity,
     NonRationalDependence,
@@ -356,3 +359,72 @@ def test_lift_jet_point_extends_and_projects():
 def test_fiber_basis_type_validation():
     with pytest.raises(ValueError):
         FiberBasis((scalar(0), scalar(0)), 1, [], dimension=3)
+
+
+# -- row prolongation against the Expr total-derivative closure -----------------------
+
+
+def _expr_close(ctx, equations, n):
+    """The closure of the equations under ctx.total_derivative up to
+    vf-order n, in discovery order: the oracle for row prolongation."""
+    out = list(equations)
+    seen = set(out)
+    queue = list(equations)
+    while queue:
+        e = queue.pop()
+        if ctx.max_order(e, "vf") >= n:
+            continue
+        for c in range(ctx.space.m):
+            de = ctx.total_derivative(e, c)
+            if de.is_zero() or de in seen:
+                continue
+            seen.add(de)
+            out.append(de)
+            queue.append(de)
+    return out
+
+
+SYSTEMS = ("e1", "e2", "e3", "p2", "u*zu", "zu/u", "zu - u*zxx")
+
+
+def _system(name):
+    """e1-e3 and p2 as declared, or a system with rational coefficients."""
+    if name in ("e1", "e2", "e3"):
+        return declared_linear_system(parse_spec(load_bundled_spec(name))[0])
+    if name == "p2":
+        src = SpecSource.from_file(Path(__file__).parent / "specs" / "p2.psg")
+        return declared_linear_system(parse_spec(src)[0])
+    ctx = _ctx()
+    u = ctx.expr(ctx.source_var(1))
+    zu = ctx.expr(ctx.vf_var(1, ()))
+    zxx = ctx.expr(ctx.vf_var(0, (0,)))
+    order, e = {"u*zu": (0, u * zu), "zu/u": (0, zu / u), "zu - u*zxx": (1, zu - u * zxx)}[name]
+    return LinearDeterminingSystem(SP, order, (e,))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_row_prolongation_matches_expr_closure(name):
+    L = _system(name)
+    ctx = context_for(L.space)
+    for k in range(4):
+        Lk = prolong_linear_system(L, k)
+        oracle = _expr_close(ctx, L.equations, L.order + k)
+        assert list(Lk.equations) == oracle
+        assert Lk.rows == LinearDeterminingSystem(L.space, L.order + k, oracle).rows
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_evaluated_rows_match_dense_evaluation(name):
+    """Only the nonzero coefficients are evaluated; the matrix equals the
+    dense one of every partial derivative evaluated at seeded points."""
+    L = _system(name)
+    ctx = context_for(L.space)
+    rng = random.Random(7)
+    for n in range(L.order, L.order + 3):
+        Ln = prolong_linear_system(L, n - L.order)
+        equations = [e for e in Ln.equations if ctx.max_order(e, "vf") <= n]
+        for _ in range(3):
+            z0 = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(L.space.m))
+            env = {ctx.source_var(a): z0[a] for a in range(L.space.m)}
+            rows, coords = evaluated_rows(L, n, z0)
+            assert rows == [[e.diff(vid).eval(env) for _, _, vid in coords] for e in equations]

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetfree.errors import OrderCapExceeded
+from jetfree.errors import OrderCapExceeded, UnboundVariable
 from jetfree.jetspace import JetContext, SpaceSpec, jet_dims, mi_concat, mi_enumerate
 
 
@@ -271,3 +272,61 @@ def test_vf_coords_counts():
     for n in range(4):
         coords = ctx.vf_coords(n)
         assert len(coords) == jet_dims(ctx.space, n).vf_dim
+
+
+# -- the compiled phihat plan against Expr.eval -----------------------------------------
+
+
+def _jet_env(ctx, n, rng):
+    """Seeded rational values for x and the u-jets through order n."""
+    ctx.ensure_sub(n)
+    env = {ctx.source_var(i): Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for i in range(ctx.space.p)}
+    for k in range(n + 1):
+        for al in range(ctx.space.q):
+            for J in mi_enumerate(ctx.space.p, k):
+                env[ctx.sub_var(al, J)] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    return env
+
+
+@pytest.mark.parametrize("make,top", [(_ctx_pq11, 4), (_ctx_pq21, 3)])
+def test_phihat_plan_matches_expr_eval(make, top):
+    ctx = make()
+    rng = random.Random(5)
+    for n in range(top + 1):
+        plan = ctx.phihat_plan(n)
+        assert ctx.phihat_plan(n) is plan
+        for _ in range(3):
+            env = _jet_env(ctx, n, rng)
+            got = plan.evaluate(env)
+            rows = ctx.jn_coords(n)
+            assert len(got) == len(rows)
+            for row, line in zip(rows, got):
+                if row[0] == "x":
+                    assert line == [((row[1], ()), 1)]
+                    continue
+                want = []
+                for vid, ce in ctx.phihat_coeffs(row[1], row[2]):
+                    c = ce.eval(env)
+                    if c:
+                        want.append((ctx.info(vid)[1:], c))
+                assert line == want
+
+
+def test_phihat_plan_missing_variable_is_unbound():
+    ctx = _ctx_pq11()
+    plan = ctx.phihat_plan(2)
+    env = _jet_env(ctx, 2, random.Random(1))
+    for vid, _ in plan.degree:
+        partial = {k: v for k, v in env.items() if k != vid}
+        with pytest.raises(UnboundVariable):
+            plan.evaluate(partial)
+
+
+def test_phihat_plan_rejects_non_polynomial_coefficient(monkeypatch):
+    ctx = _ctx_pq11()
+    ctx.ensure_vf(0)
+    u = ctx.expr(ctx.source_var(1))
+    zx = ctx.vf_var(0, ())
+    monkeypatch.setattr(ctx, "phihat_coeffs", lambda al, J: ((zx, 1 / u),))
+    with pytest.raises(ArithmeticError, match="not a polynomial"):
+        ctx.phihat_plan(0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,109 @@ def test_expr_inverse_singular_raises():
     u = Expr.var(reg, reg.register("u"))
     with pytest.raises(SingularJacobian):
         expr_inverse([[u, u], [u, u]])
+
+
+# -- the sparse elimination against textbook dense Gauss-Jordan ----------------------
+
+
+def _dense_rref(rows):
+    """Dense Gauss-Jordan over Fraction, the oracle: (rows, pivot cols)."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _dense_nullspace(rows, ncols):
+    red, pivots = _dense_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for k, c in enumerate(pivots):
+            v[c] = -red[k][f]
+        basis.append(v)
+    return basis
+
+
+def _seeded_matrices(seed, count):
+    """Seeded rational matrices of every shape the kernel must handle:
+    empty, 1 x n, n x 1, zero rows, duplicate rows, rows with one
+    nonzero, sparse and dense."""
+    rng = random.Random(seed)
+    yield []
+    yield [[]]
+    yield [[Fraction(0)] * 3]
+    for _ in range(count):
+        nrows = rng.choice([1, 1, 2, 3, 5, 8])
+        ncols = rng.choice([1, 1, 2, 4, 7, 9])
+        density = rng.choice([0.15, 0.4, 1.0])
+        m = [
+            [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < density else Fraction(0)
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        kind = rng.randrange(4)
+        if kind == 0:
+            m.insert(rng.randrange(nrows + 1), [Fraction(0)] * ncols)
+        elif kind == 1:
+            m.append(list(rng.choice(m)))
+        elif kind == 2:
+            row = [Fraction(0)] * ncols
+            row[rng.randrange(ncols)] = Fraction(rng.choice([-3, 1, 5]), rng.randint(1, 3))
+            m.insert(rng.randrange(nrows + 1), row)
+        rng.shuffle(m)
+        yield m
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_elimination_matches_dense_oracle(seed):
+    for m in _seeded_matrices(seed, 150):
+        ncols = len(m[0]) if m else 4
+        red, pivots = _dense_rref(m)
+        if m:
+            assert rref(m) == (red, pivots)
+        assert rank(m) == len(pivots)
+        assert nullspace(m, ncols) == _dense_nullspace(m, ncols)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_solve_affine_matches_dense_oracle(seed):
+    rng = random.Random(seed)
+    for m in _seeded_matrices(seed, 150):
+        if not m or not m[0]:
+            continue
+        ncols = len(m[0])
+        b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in m]
+        red, pivots = _dense_rref([row + [rhs] for row, rhs in zip(m, b)])
+        if pivots and pivots[-1] == ncols:
+            with pytest.raises(NoSolution):
+                solve_affine(m, b)
+            continue
+        x = [Fraction(0)] * ncols
+        for k, c in enumerate(pivots):
+            x[c] = red[k][ncols]
+        assert solve_affine(m, b) == (x, _dense_nullspace(m, ncols))
+
+
+def test_empty_shapes():
+    assert rref([]) == ([], []) and rank([]) == 0
+    assert rref([[]]) == ([], []) and rank([[]]) == 0
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
+    assert nullspace([[]], 0) == []
+    assert solve_affine([], []) == ([], [])
