@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .detsys import PseudogroupSpec
 from .dsl import SpecSource, load_bundled_spec, parse_spec, serialize_spec
-from .errors import JetfreeError, NoSolution, PreconditionViolation
-from .frames import CrossSection, MovingFrameChart, check_transversality, invariants
+from .errors import JetfreeError, NoSolution, NotTransversal, PreconditionViolation
+from .frames import CrossSection, MovingFrameChart, invariants
 from .freeness import (
     INCONCLUSIVE,
     LOCALLY_FREE,
@@ -346,7 +346,11 @@ def cmd_frame(args) -> int:
         else:
             u[(key[1], key[2])] = value
     anchor = SubmanifoldJetPoint(spec.space, args.order, tuple(x), u)
-    tr = check_transversality(cs, spec, anchor)
+    try:
+        chart = MovingFrameChart(spec, args.order, cs, anchor)
+        tr = chart.transversality
+    except NotTransversal as exc:
+        chart, tr = None, exc.report
     certificate = {
         "jet_dimension": tr.jet_dimension,
         "fixed_count": tr.fixed_count,
@@ -354,7 +358,7 @@ def cmd_frame(args) -> int:
         "stacked_rank": tr.stacked_rank,
         "transversal": tr.transversal,
     }
-    if not tr.transversal:
+    if chart is None:
         return _fail(
             args,
             "cross-section is not transversal to the orbit at the anchor: "
@@ -362,7 +366,6 @@ def cmd_frame(args) -> int:
             f"orbit dimension {tr.orbit_dimension}, stacked rank {tr.stacked_rank}",
             transversality=certificate,
         )
-    chart = MovingFrameChart(spec, args.order, cs, anchor)
     doc = _report("frame", spec.name, args.order, point_to_document(zn))
     doc["orbit_dimension"] = tr.orbit_dimension
     doc["transversality"] = certificate
@@ -467,6 +470,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     args.started = time.perf_counter()
     try:
+        if getattr(args, "order", 0) < 0:
+            raise PreconditionViolation(f"--order must be nonnegative, got {args.order}")
         return args.func(args)
     except JetfreeError as exc:
         return _fail(args, str(exc))

@@ -57,6 +57,15 @@ class PreconditionViolation(JetfreeError):
     pass
 
 
+class NotTransversal(PreconditionViolation):
+    """A cross-section is not transversal to the orbit at a point; the
+    transversality report that showed it is kept as ``report``."""
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report
+
+
 class NoSolution(JetfreeError):
     """Normalization/stabilization equations are inconsistent at the point."""
 

@@ -29,12 +29,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .detsys import PseudogroupSpec, prolong_determining_system
+from .detsys import PseudogroupSpec
 from .errors import (
     DivisionByZero,
     DomainMismatch,
     NoSolution,
     NonTriangular,
+    NotTransversal,
     OrderMismatch,
     PreconditionViolation,
     SingularJet,
@@ -42,7 +43,7 @@ from .errors import (
     UnknownVariable,
 )
 from .freeness import prolongation_matrix
-from .jetspace import JetContext, MultiIndex, SpaceSpec, mi_enumerate
+from .jetspace import MultiIndex, SpaceSpec, mi_enumerate
 from .linalg import rank
 from .prolong import (
     DiffeoJet,
@@ -53,12 +54,8 @@ from .prolong import (
     jet_compose,
 )
 from .sampling import random_jet_point, sample_group_jet
-from .stagesolve import solve_affine_exprs
+from .stagesolve import CoordKey, StagedSystem, solve_stage
 from .symkernel import Expr, Scalar, scalar
-
-# A fixed coordinate is keyed ("x", i) or ("u", alpha, J).
-CoordKey = tuple
-
 
 # -- cross-sections ---------------------------------------------------------------
 
@@ -210,52 +207,18 @@ def check_transversality(
 # -- frame construction -----------------------------------------------------------
 
 
+_NEWTON_TOLERANCE = 1e-12
+_NEWTON_MAX_ITER = 50
+# float frames and the sampled checks compare within this tolerance
+_VERIFY_TOLERANCE = max(_NEWTON_TOLERANCE * 1e3, 1e-9)
+
+
 @dataclass(frozen=True)
 class FrameSolverConfig:
     """Staged exact elimination first; float Gauss-Newton from the identity
-    jet when a stage is not affine in its unknowns."""
+    jet when a stage is not affine in its unknowns, if allowed."""
 
     allow_float: bool = True
-    newton_tolerance: float = 1e-12
-    newton_max_iter: int = 50
-
-    @property
-    def verify_tolerance(self) -> float:
-        return max(self.newton_tolerance * 1e3, 1e-9)
-
-
-def _point_subst(ctx: JetContext, zn: SubmanifoldJetPoint) -> dict[int, Expr]:
-    env = {ctx.source_var(a): ctx.const(zn.base[a]) for a in range(ctx.space.m)}
-    for (al, J), val in zn.u.items():
-        env[ctx.sub_var(al, J)] = ctx.const(val)
-    return env
-
-
-def _normalization(ctx: JetContext, key: CoordKey, value, point_env) -> Expr:
-    """Residual expression in the group-jet variables for one fixed
-    coordinate of the moved point, denominators kept."""
-    p = ctx.space.p
-    if key[0] == "x":
-        return ctx.expr(ctx.target_var(key[1], ())) - ctx.const(value)
-    al, J = key[1], key[2]
-    if not J:
-        return ctx.expr(ctx.target_var(p + al, ())) - ctx.const(value)
-    return ctx.uhat(al, J).subst(point_env) - ctx.const(value)
-
-
-def _staged_equations(
-    ctx: JetContext, cs: CrossSection, point_env, dets_by_stage
-) -> dict[int, list[Expr]]:
-    """Stage map: determining equations of each target order plus the
-    order-k normalization residuals with denominators cleared."""
-    out = {k: list(eqs) for k, eqs in dets_by_stage.items()}
-    for key, value in cs.pairs:
-        stage = len(key[2]) if key[0] == "u" else 0
-        e = _normalization(ctx, key, value, point_env)
-        if stage > 0:
-            e = e.numerator()
-        out.setdefault(stage, []).append(e)
-    return out
 
 
 def _verify_frame(cs: CrossSection, jet: DiffeoJet, zn: SubmanifoldJetPoint, tol) -> None:
@@ -293,35 +256,30 @@ def _solve_float(a: list[list[float]], b: list[float]) -> list[float] | None:
 
 
 def _newton_frame(
-    ctx: JetContext,
-    n: int,
-    cs: CrossSection,
-    zn: SubmanifoldJetPoint,
-    point_env,
-    dets_by_stage,
-    config: FrameSolverConfig,
+    n: int, cs: CrossSection, zn: SubmanifoldJetPoint, system: StagedSystem
 ) -> DiffeoJet | None:
     """Gauss-Newton on the full system (determining closure plus rational
     normalization residuals) in all jet coefficients at once."""
+    ctx = system.ctx
     space = ctx.space
     m = space.m
     keys = [(a, B) for k in range(n + 1) for a in range(m) for B in mi_enumerate(m, k)]
     vids = [ctx.target_var(*key) for key in keys]
     eqs: list[Expr] = []
     for k in range(n + 1):
-        eqs.extend(dets_by_stage.get(k, []))
+        eqs.extend(system.determining(k))
     for key, value in cs.pairs:
-        eqs.append(_normalization(ctx, key, value, point_env))
+        eqs.append(system.normalization(key, value))
     jac = [[e.diff(v) for v in vids] for e in eqs]
     ident = identity_jet(space, n, zn.base)
     x = [float(ident.coeffs[key]) for key in keys]
-    for _ in range(config.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         env = dict(zip(vids, x))
         try:
             fvals = [float(e.eval(env)) for e in eqs]
         except (ZeroDivisionError, DivisionByZero, OverflowError):
             return None
-        if max(abs(v) for v in fvals) <= config.newton_tolerance:
+        if max(abs(v) for v in fvals) <= _NEWTON_TOLERANCE:
             try:
                 return DiffeoJet(space, n, zn.base, dict(zip(keys, x)))
             except SingularJet:
@@ -361,28 +319,15 @@ def _solve_frame(
     if ps.determining and n < ps.effective_order:
         raise PreconditionViolation("frame order below the determining system's order")
     zn = z.truncate(n)
-    ctx = context_for(space)
-    ctx.ensure_target(n)
-    ctx.ensure_sub(n + 1)
-    point_env = _point_subst(ctx, zn)
-    dets_by_stage: dict[int, list[Expr]] = {}
-    if ps.determining:
-        for e in prolong_determining_system(ps, n - ps.effective_order):
-            order = max(ctx.max_order(e, "target"), 0)
-            if order <= n:
-                dets_by_stage.setdefault(order, []).append(e.subst(point_env))
-    staged = _staged_equations(ctx, cs, point_env, dets_by_stage)
-
-    m = space.m
+    system = StagedSystem(ps, n, zn.base, zn.u, cs.pairs)
+    ctx = system.ctx
     values: dict[tuple[int, MultiIndex], Scalar] = {}
     failure: Exception | None = None
     for k in range(n + 1):
-        keys = [(a, B) for a in range(m) for B in mi_enumerate(m, k)]
-        vids = [ctx.target_var(a, B) for a, B in keys]
-        smap = {ctx.target_var(*key): ctx.const(v) for key, v in values.items()}
         try:
-            eqs = [e.subst(smap) for e in staged.get(k, [])]
-            part, kern = solve_affine_exprs(eqs, vids, ctx.reg)
+            keys, part, kern = solve_stage(
+                system.stage(k), k, space.m, ctx.target_var, values, ctx.reg
+            )
         except NoSolution as exc:
             raise NoSolution(
                 f"normalization equations are inconsistent at order {k}; "
@@ -396,12 +341,11 @@ def _solve_frame(
                 f"order-{k} stage leaves {len(kern)} jet coefficients undetermined"
             )
             break
-        for key, val in zip(keys, part):
-            values[key] = val
+        values.update(zip(keys, part))
 
     if failure is None:
         try:
-            jet = DiffeoJet(space, n, zn.base, dict(values))
+            jet = DiffeoJet(space, n, zn.base, values)
         except SingularJet as exc:
             raise NoSolution(
                 "normalized jet is singular; the point lies outside the frame chart"
@@ -410,9 +354,9 @@ def _solve_frame(
         return jet, True
 
     if config.allow_float:
-        jet = _newton_frame(ctx, n, cs, zn, point_env, dets_by_stage, config)
+        jet = _newton_frame(n, cs, zn, system)
         if jet is not None:
-            _verify_frame(cs, jet, zn, config.verify_tolerance)
+            _verify_frame(cs, jet, zn, _VERIFY_TOLERANCE)
             return jet, False
     raise NonTriangular(
         f"staged solve failed ({failure}) and the float fallback "
@@ -463,8 +407,8 @@ class MovingFrameChart:
             raise OrderMismatch("cross-section order differs from the frame order")
         report = check_transversality(self.cross_section, self.pseudogroup, self.anchor)
         if not report.transversal:
-            raise PreconditionViolation(
-                "cross-section is not transversal to the orbit at the anchor"
+            raise NotTransversal(
+                "cross-section is not transversal to the orbit at the anchor", report
             )
         self.transversality = report
 
@@ -567,8 +511,7 @@ def check_equivariance(
             excluded += 1
             continue
         lhs = jet_compose(gw, g)
-        tol = frame.config.verify_tolerance
-        if not _jets_agree(lhs, gz, tol):
+        if not _jets_agree(lhs, gz, _VERIFY_TOLERANCE):
             violations.append((z, g, lhs, gz))
         checked += 1
     return EquivarianceReport(n, samples, checked, excluded, seed, violations)
@@ -622,8 +565,7 @@ def check_compatibility(
             raise DomainMismatch(
                 "projected sample falls outside the lower frame's chart"
             ) from exc
-        tol = max(frame_n.config.verify_tolerance, frame_k.config.verify_tolerance)
-        if not _jets_agree(_truncate_jet(high, frame_n.order), low, tol):
+        if not _jets_agree(_truncate_jet(high, frame_n.order), low, _VERIFY_TOLERANCE):
             violations.append((z, high, low))
         checked += 1
     return CompatibilityReport(

@@ -31,7 +31,6 @@ from .detsys import (
     PseudogroupSpec,
     basis_from_rows,
     evaluated_rows,
-    prolong_determining_system,
     vanishing_fiber_basis,
 )
 from .errors import (
@@ -44,7 +43,7 @@ from .errors import (
     SingularJet,
     SingularTotalJacobian,
 )
-from .jetspace import JetContext, MultiIndex, SpaceSpec, mi_concat, mi_enumerate
+from .jetspace import JetContext, MultiIndex, mi_concat, mi_enumerate
 from .linalg import nullspace, rank
 from .prolong import (
     DiffeoJet,
@@ -53,10 +52,11 @@ from .prolong import (
     _point_env,
     act_on_jet,
     context_for,
+    identity_jet,
     prolong_at_point,
 )
 from .sampling import lift_jet_point
-from .stagesolve import extract_affine, solve_affine_exprs
+from .stagesolve import StagedSystem, solve_stage
 from .symkernel import Expr, Scalar, scalar
 
 LOCALLY_FREE = "LOCALLY_FREE"
@@ -336,7 +336,6 @@ class WitnessReport:
     point: SubmanifoldJetPoint
     candidate: VectorFieldJet
     witnesses: list[tuple[str, VectorFieldJet]]
-    memberships_verified: bool
     projection_free: bool
     forced_zero: bool
 
@@ -413,7 +412,6 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
         w = make(lambda b, C, e=e_slot: v.coeffs[(b, mi_concat(C, e))])
         witnesses.append((f"what_{space.source_names[e_slot]}", w))
 
-    ok = True
     fiber_equations = problem.equations(n)
     for label, w in witnesses:
         wenv = {ctx.source_var(a): z1.base[a] for a in range(m)}
@@ -435,7 +433,7 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
         raise PreconditionViolation(
             "nonzero witness at a locally free projection: persistence mechanism violated"
         )
-    return WitnessReport(n, z1, v, witnesses, ok, free, zero)
+    return WitnessReport(n, z1, v, witnesses, free, zero)
 
 
 # -- top-order stabilizer ----------------------------------------------------------------
@@ -453,14 +451,21 @@ class StabilizerReport:
     basis: list[dict[tuple[int, MultiIndex], Scalar]]
 
 
+def _full_cross_section(z: SubmanifoldJetPoint) -> list:
+    """The cross-section fixing every coordinate of z to its own value."""
+    return [(("x", i), v) for i, v in enumerate(z.x)] + [
+        (("u", al, J), v) for (al, J), v in z.u.items()
+    ]
+
+
 def top_order_stabilizer(ps: PseudogroupSpec, n: int, z: SubmanifoldJetPoint) -> StabilizerReport:
     """Linear system for the order-(n+1) coefficients of a group jet that
-    agrees with the identity to order n and stabilizes z^(n+1): the
-    prolonged determining equations plus the top-order stabilization
-    conditions.  Null-space dimension 0 means the top order is forced."""
+    agrees with the identity to order n and stabilizes z^(n+1): stage
+    n + 1 of the staged solve of the point's full cross-section, with the
+    identity fixed below it.  Null-space dimension 0 means the top order
+    is forced."""
     if not ps.determining:
         raise PreconditionViolation("top-order stabilizer needs determining equations")
-    space = ps.space
     if z.order < n + 1:
         raise OrderMismatch("need the point to order n+1")
     if n + 1 < ps.effective_order:
@@ -468,56 +473,21 @@ def top_order_stabilizer(ps: PseudogroupSpec, n: int, z: SubmanifoldJetPoint) ->
             "order must reach the determining system's own order"
         )
     z1 = z.truncate(n + 1)
-    ctx = context_for(space)
-    m, p, q = space.m, space.p, space.q
-    ctx.ensure_target(n + 1)
-    ctx.ensure_sub(n + 1)
-    sub: dict[int, Expr] = {}
-    for a in range(m):
-        sub[ctx.source_var(a)] = ctx.const(z1.base[a])
-    for k in range(n + 1):
-        for a in range(m):
-            for B in mi_enumerate(m, k):
-                if k == 0:
-                    val = ctx.const(z1.base[a])
-                elif k == 1:
-                    val = ctx.const(1 if B == (a,) else 0)
-                else:
-                    val = ctx.const(0)
-                sub[ctx.target_var(a, B)] = val
-    for al in range(q):
-        for k in range(n + 2):
-            for J in mi_enumerate(p, k):
-                sub[ctx.sub_var(al, J)] = ctx.const(z1.value(al, J))
-    tops = [(a, B) for a in range(m) for B in mi_enumerate(m, n + 1)]
-    top_vids = [ctx.target_var(a, B) for a, B in tops]
-
-    rows: list[list[Scalar]] = []
-    eqs = prolong_determining_system(ps, n + 1 - ps.effective_order)
-    for e in eqs:
-        coeffs, const = extract_affine(e.subst(sub), top_vids, ctx.reg)
-        if const != 0:
-            raise PreconditionViolation(
-                f"identity jet fails the prolonged determining equation {e}"
-            )
-        if any(c != 0 for c in coeffs):
-            rows.append(coeffs)
-    for al in range(q):
-        for J in mi_enumerate(p, n + 1):
-            e = ctx.uhat(al, J).subst(sub) - ctx.const(z1.value(al, J))
-            coeffs, const = extract_affine(e, top_vids, ctx.reg)
-            if const != 0:
-                raise PreconditionViolation(
-                    "identity jet fails a stabilization condition"
-                )
-            if any(c != 0 for c in coeffs):
-                rows.append(coeffs)
-    vecs = nullspace(rows, len(tops))
-    basis = [
-        {key: vec[i] for i, key in enumerate(tops)}
-        for vec in vecs
-    ]
-    return StabilizerReport(n, z1, tops, len(vecs), basis)
+    ident = identity_jet(ps.space, n + 1, z1.base).coeffs
+    lower = {key: v for key, v in ident.items() if len(key[1]) <= n}
+    system = StagedSystem(ps, n + 1, z1.base, z1.u, _full_cross_section(z1), lower)
+    ctx = system.ctx
+    try:
+        tops, part, kern = solve_stage(
+            system.stage(n + 1), n + 1, ps.space.m, ctx.target_var, {}, ctx.reg
+        )
+    except NoSolution as exc:
+        raise PreconditionViolation("identity jet fails the top-order stage") from exc
+    gap = [ident[key] - v for key, v in zip(tops, part)]
+    if rank(kern + [gap]) > len(kern):
+        raise PreconditionViolation("identity jet fails the top-order stage")
+    basis = [dict(zip(tops, vec)) for vec in kern]
+    return StabilizerReport(n, z1, tops, len(kern), basis)
 
 
 # -- order-triangular isotropy jets ------------------------------------------------------
@@ -532,51 +502,12 @@ class IsotropyReport:
     witness: DiffeoJet | None
 
 
-def _identity_stage(space: SpaceSpec, k: int, z0: tuple) -> dict:
-    vals = {}
-    for a in range(space.m):
-        for B in mi_enumerate(space.m, k):
-            if k == 0:
-                vals[(a, B)] = scalar(z0[a])
-            elif k == 1:
-                vals[(a, B)] = scalar(1 if B == (a,) else 0)
-            else:
-                vals[(a, B)] = scalar(0)
-    return vals
-
-
-def _stage_equations(
-    ctx: JetContext,
-    ps: PseudogroupSpec,
-    z: SubmanifoldJetPoint,
-    dets_by_stage: dict[int, list[Expr]],
-    k: int,
-) -> list[Expr]:
-    """Equations whose top-order target jets have order exactly k: the
-    determining equations of that order and the order-k stabilization
-    conditions, with the point's coordinates substituted and denominators
-    cleared.  Only target-jet variables remain."""
-    space = ctx.space
-    point_env = {ctx.source_var(a): ctx.const(z.base[a]) for a in range(space.m)}
-    for (al, J), val in z.u.items():
-        point_env[ctx.sub_var(al, J)] = ctx.const(val)
-    out = [e.subst(point_env) for e in dets_by_stage.get(k, [])]
-    if k == 0:
-        for a in range(space.m):
-            out.append(ctx.expr(ctx.target_var(a, ())) - ctx.const(z.base[a]))
-        return out
-    for al in range(space.q):
-        for J in mi_enumerate(space.p, k):
-            cond = ctx.uhat(al, J).subst(point_env) - ctx.const(z.value(al, J))
-            out.append(cond.numerator())
-    return out
-
-
 def isotropy_jets_triangular(
     ps: PseudogroupSpec, n: int, z: SubmanifoldJetPoint
 ) -> IsotropyReport:
     """Solve the stabilization equations together with the determining
-    equations order by order.
+    equations order by order: the staged frame solve of the point's full
+    cross-section, which fixes every coordinate of z^(n) to its own value.
 
     TRIVIAL when every stage pins its top-order coefficients uniquely
     (necessarily to the identity's).  NONTRIVIAL when a verified
@@ -587,104 +518,54 @@ def isotropy_jets_triangular(
     if z.order < n:
         raise OrderMismatch(f"need an order-{n} jet point, got order {z.order}")
     zn = z.truncate(n)
-    ctx = context_for(space)
-    ctx.ensure_target(n)
-    ctx.ensure_sub(n + 1)
-    m = space.m
-    dets_by_stage: dict[int, list[Expr]] = {}
-    if ps.determining:
-        k = max(0, n - ps.effective_order)
-        for e in prolong_determining_system(ps, k):
-            order = max(ctx.max_order(e, "target"), 0)
-            if order <= n:
-                dets_by_stage.setdefault(order, []).append(e)
+    system = StagedSystem(ps, n, zn.base, zn.u, _full_cross_section(zn))
+    ctx = system.ctx
+    ident = identity_jet(space, n, zn.base).coeffs
+    unsolved = (DivisionByZero, NoSolution, PreconditionViolation)
 
-    def complete(fixed: dict[tuple[int, MultiIndex], Scalar], start: int):
-        """Solve stages start..n on top of fixed values, taking any
-        particular solution at non-unique stages; None if a stage is
-        inconsistent, nonaffine, or hits a cleared denominator."""
-        values = dict(fixed)
-        for k in range(start, n + 1):
-            keys = [(a, B) for a in range(m) for B in mi_enumerate(m, k)]
-            vids = [ctx.target_var(a, B) for a, B in keys]
-            smap = {ctx.source_var(a): ctx.const(zn.base[a]) for a in range(m)}
-            for key, val in values.items():
-                smap[ctx.target_var(*key)] = ctx.const(val)
-            try:
-                exprs = [
-                    e.subst(smap)
-                    for e in _stage_equations(ctx, ps, zn, dets_by_stage, k)
-                ]
-                part, _ = solve_affine_exprs(exprs, vids, ctx.reg)
-            except (DivisionByZero, NoSolution, PreconditionViolation):
-                return None
-            for key, val in zip(keys, part):
-                values[key] = val
-        return values
+    def solve(k: int, values: dict) -> tuple:
+        return solve_stage(system.stage(k), k, space.m, ctx.target_var, values, ctx.reg)
 
-    # main pass: prefer the identity through non-unique stages
+    # main pass: follow the identity while every stage is unique
     stages: list[dict[str, Scalar]] = []
     values: dict[tuple[int, MultiIndex], Scalar] = {}
-    nonunique_stage = None
     for k in range(n + 1):
-        keys = [(a, B) for a in range(m) for B in mi_enumerate(m, k)]
-        vids = [ctx.target_var(a, B) for a, B in keys]
-        smap = {ctx.source_var(a): ctx.const(zn.base[a]) for a in range(m)}
-        for key, val in values.items():
-            smap[ctx.target_var(*key)] = ctx.const(val)
         try:
-            exprs = [e.subst(smap) for e in _stage_equations(ctx, ps, zn, dets_by_stage, k)]
-        except DivisionByZero:
+            keys, part, kern = solve(k, values)
+        except unsolved:
             return IsotropyReport(n, zn, UNDECIDED, None, None)
-        try:
-            part, kern = solve_affine_exprs(exprs, vids, ctx.reg)
-        except (NoSolution, PreconditionViolation):
+        idvec = [ident[key] for key in keys]
+        if kern:
+            break
+        if part != idvec:
+            # unique but not the identity: the identity failed a stage,
+            # which contradicts it stabilizing its own jet
             return IsotropyReport(n, zn, UNDECIDED, None, None)
-        ident = _identity_stage(space, k, zn.base)
-        if not kern:
-            expected = [ident[key] for key in keys]
-            if list(part) != expected:
-                # unique but not the identity: the identity failed a stage,
-                # which contradicts it stabilizing its own jet
-                return IsotropyReport(n, zn, UNDECIDED, None, None)
-            for key, val in zip(keys, part):
-                values[key] = val
-            stages.append(
-                {ctx.target_name(a, B): values[(a, B)] for a, B in keys}
-            )
-            continue
-        nonunique_stage = (k, keys, part, kern)
-        break
-
-    if nonunique_stage is None:
+        values.update(zip(keys, part))
+        stages.append({ctx.target_name(a, B): v for (a, B), v in zip(keys, part)})
+    else:
         return IsotropyReport(n, zn, TRIVIAL, stages, None)
 
-    # a stage is not unique: hunt for a verified non-identity stabilizer
-    k, keys, part, kern = nonunique_stage
-    ident = _identity_stage(space, k, zn.base)
+    # stage k is not unique: hunt for a verified non-identity stabilizer,
+    # completing the later stages with particular solutions
     candidates: list[list[Scalar]] = []
-    idvec = [ident[key] for key in keys]
-    if list(part) != idvec:
-        candidates.append(list(part))
+    if part != idvec:
+        candidates.append(part)
     for vec in kern:
         for c in (scalar(1), scalar(-1), scalar(2)):
             cand = [pv + c * kv for pv, kv in zip(part, vec)]
             if cand != idvec:
                 candidates.append(cand)
     for cand in candidates:
-        fixed = dict(values)
-        for key, val in zip(keys, cand):
-            fixed[key] = val
-        full = complete(fixed, k + 1)
-        if full is None:
-            continue
+        full = dict(values)
+        full.update(zip(keys, cand))
         try:
+            for j in range(k + 1, n + 1):
+                later, later_part, _ = solve(j, full)
+                full.update(zip(later, later_part))
             g = DiffeoJet(space, n, zn.base, full)
-        except SingularJet:
-            continue
-        try:
             if act_on_jet(g, zn) == zn:
                 return IsotropyReport(n, zn, NONTRIVIAL, None, g)
-        except SingularTotalJacobian:
+        except (*unsolved, SingularJet, SingularTotalJacobian):
             continue
     return IsotropyReport(n, zn, UNDECIDED, None, None)

@@ -160,13 +160,9 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_eliminate(rows))
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
-    """Basis of the right kernel, one vector per free column in column order.
-
-    Each basis vector has value 1 in its free column and 0 in the others,
-    so the result is deterministic and directly readable.
-    """
-    pivots = _eliminate(rows)
+def _kernel(pivots: list[tuple[int, dict[int, int]]], ncols: int) -> list[Row]:
+    """Kernel basis of the reduced rows, one vector per free column below
+    ncols: 1 in its free column, 0 in the others."""
     pivset = {c for c, _ in pivots}
     basis: list[Row] = []
     for f in range(ncols):
@@ -182,29 +178,37 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
     return basis
 
 
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
+    """Basis of the right kernel, one vector per free column in column order.
+
+    Each basis vector has value 1 in its free column and 0 in the others,
+    so the result is deterministic and directly readable.
+    """
+    return _kernel(_eliminate(rows), ncols)
+
+
 def solve_affine(
     a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> tuple[Row, list[Row]]:
     """All solutions of A x = b as (particular, kernel basis).
 
     Raises NoSolution when the system is inconsistent.  The particular
-    solution sets every free variable to zero.
+    solution sets every free variable to zero.  One elimination of the
+    augmented matrix gives both: once it is consistent, its pivot rows
+    restricted to A's columns are the reduced form of A.
     """
     if not a:
-        n = 0
         if any(b):
             raise NoSolution("inconsistent empty system")
         return [], []
     ncols = len(a[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] == ncols:
+    pivots = _eliminate([list(row) + [rhs] for row, rhs in zip(a, b)])
+    if pivots and pivots[-1][0] == ncols:
         raise NoSolution("inconsistent linear system")
-    x = [Fraction(0)] * ncols
-    for k, c in enumerate(pivots):
-        x[c] = red[k][ncols]
-    basis = nullspace(a, ncols)
-    return x, basis
+    x = [_ZERO] * ncols
+    for c, entries in pivots:
+        x[c] = Fraction(entries.get(ncols, 0), entries[c])
+    return x, _kernel(pivots, ncols)
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:

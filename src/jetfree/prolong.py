@@ -35,7 +35,8 @@ from .errors import (
     StepFailure,
 )
 from .jetspace import JetContext, MultiIndex, SpaceSpec, mi_concat, mi_enumerate
-from .linalg import det, solve_affine
+from .linalg import det
+from .stagesolve import solve_stage
 from .symkernel import Expr, Scalar, VarRegistry, scalar
 
 _CTX_CACHE: dict[SpaceSpec, JetContext] = {}
@@ -350,34 +351,24 @@ def jet_invert(g: DiffeoJet) -> DiffeoJet:
     m, n = g.space.m, g.order
     tab = _comp_table(m, n)
     reg = tab.reg
-    subst: dict[int, Expr] = {}
-    for key, vid in tab.g.items():
-        subst[vid] = Expr.const(reg, g.coeffs[key])
-    hvals: dict[tuple[int, MultiIndex], object] = {}
-    for a in range(m):
-        hvals[(a, ())] = g.source[a]
-        subst[tab.h[(a, ())]] = Expr.const(reg, g.source[a])
+    inner = {vid: Expr.const(reg, g.coeffs[key]) for key, vid in tab.g.items()}
+    hvals: dict[tuple[int, MultiIndex], object] = {(a, ()): g.source[a] for a in range(m)}
     for k in range(1, n + 1):
-        unknowns = [(a, C) for a in range(m) for C in mi_enumerate(m, k)]
-        uvids = [tab.h[key] for key in unknowns]
-        zero_map = {v: Expr.const(reg, 0) for v in uvids}
-        rows, rhs = [], []
-        for a in range(m):
-            for B in mi_enumerate(m, k):
-                e = tab.comp[(a, B)].subst(subst)
-                const = e.subst(zero_map).as_scalar()
-                rows.append([e.diff(v).subst(zero_map).as_scalar() for v in uvids])
-                want = scalar(1) if (k == 1 and B == (a,)) else scalar(0)
-                rhs.append(want - const)
+        # compose(h, g) = identity at order k
+        equations = [
+            tab.comp[(a, B)].subst(inner) - Expr.const(reg, 1 if B == (a,) else 0)
+            for a in range(m)
+            for B in mi_enumerate(m, k)
+        ]
         try:
-            sol, kern = solve_affine(rows, rhs)
+            keys, sol, kern = solve_stage(
+                equations, k, m, lambda a, C: tab.h[(a, C)], hvals, reg
+            )
         except NoSolution as exc:
             raise SingularJet("no inverse jet exists") from exc
         if kern:
             raise SingularJet("inverse jet is not unique")
-        for key, val in zip(unknowns, sol):
-            hvals[key] = val
-            subst[tab.h[key]] = Expr.const(reg, val)
+        hvals.update(zip(keys, sol))
     return DiffeoJet(g.space, n, g.target, hvals)
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import random
 
-from .detsys import PseudogroupSpec, prolong_determining_system
+from .detsys import PseudogroupSpec
 from .errors import NoSolution, PreconditionViolation, SingularJet
 from .jetspace import MultiIndex, SpaceSpec, mi_enumerate
-from .prolong import DiffeoJet, SubmanifoldJetPoint, context_for
-from .stagesolve import solve_affine_exprs
-from .symkernel import Expr, Scalar, scalar
+from .prolong import DiffeoJet, SubmanifoldJetPoint
+from .stagesolve import StagedSystem, solve_stage
+from .symkernel import Scalar, scalar
 
 
 def random_rational(rng: random.Random, bound: int = 10) -> Scalar:
@@ -82,30 +82,20 @@ def sample_group_jet(
         raise PreconditionViolation("sampling below the base order is not defined")
     if not ds.determining:
         raise PreconditionViolation("sampling requires determining equations")
-    ctx = context_for(ds.space)
-    m = ds.space.m
-    eqs = prolong_determining_system(ds, n - ds.effective_order)
-    by_stage: dict[int, list[Expr]] = {k: [] for k in range(n + 1)}
-    for e in eqs:
-        by_stage[max(ctx.max_order(e, "target"), 0)].append(e)
-    base_map = {ctx.source_var(a): Expr.const(ctx.reg, z0[a]) for a in range(m)}
+    system = StagedSystem(ds, n, z0)
+    ctx = system.ctx
     last_error: Exception | None = None
     for _ in range(max_tries):
-        smap = dict(base_map)
         coeffs: dict[tuple[int, MultiIndex], Scalar] = {}
         try:
             for k in range(n + 1):
-                keys = [(a, B) for a in range(m) for B in mi_enumerate(m, k)]
-                uvids = [ctx.target_var(a, B) for a, B in keys]
-                residuals = [e.subst(smap) for e in by_stage[k]]
-                part, kern = solve_affine_exprs(residuals, uvids, ctx.reg)
-                vals = list(part)
+                keys, vals, kern = solve_stage(
+                    system.stage(k), k, ds.space.m, ctx.target_var, coeffs, ctx.reg
+                )
                 for vec in kern:
                     c = random_rational(rng, bound)
                     vals = [v + c * w for v, w in zip(vals, vec)]
-                for key, val in zip(keys, vals):
-                    coeffs[key] = val
-                    smap[ctx.target_var(*key)] = Expr.const(ctx.reg, val)
+                coeffs.update(zip(keys, vals))
             return DiffeoJet(ds.space, n, tuple(z0), coeffs)
         except (SingularJet, NoSolution) as exc:
             last_error = exc

@@ -419,6 +419,28 @@ def test_frame_human_output(capsys, tmp_path):
     assert "invariant u = 0" in out
 
 
+def test_frame_checks_transversality_once(capsys, tmp_path, monkeypatch):
+    import jetfree.cli as cli
+    import jetfree.frames as frames
+
+    real = frames.check_transversality
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(frames, "check_transversality", counted)
+    monkeypatch.setattr(cli, "check_transversality", counted, raising=False)
+    pt = _point_file(tmp_path, P_SLOPE2)
+    for cs, want in ((CS_X_UX, 0), ('{"fix": {"u": "0", "u.x": "1"}}', 2)):
+        calls.clear()
+        rc, _, _ = _run(capsys, ["frame", "e1", "--order", "1", "--point", pt,
+                                 "--cross-section", cs, "--json"])
+        assert rc == want
+        assert len(calls) == 1
+
+
 # -- isotropy -----------------------------------------------------------------------
 
 
@@ -461,6 +483,25 @@ def test_isotropy_undecided_on_nonaffine_stage(capsys, tmp_path):
     doc = _report(out)
     assert doc["verdict"] == "UNDECIDED"
     assert doc["witness"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["isotropy", "e1", "--order", "-2"],
+    ["frame", "e1", "--order", "-1", "--cross-section", '{"fix":{}}'],
+    ["freeness", "e1", "--order", "-1"],
+    ["persistence", "e1", "--order", "-1", "--through", "1"],
+])
+def test_negative_order_exits_2(capsys, tmp_path, argv):
+    pt = _point_file(tmp_path, P_FREE)
+    rc, out, err = _run(capsys, argv + ["--point", pt])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "--order must be nonnegative" in err
+    rc, out, _ = _run(capsys, argv + ["--point", pt, "--json"])
+    assert rc == 2
+    doc = _report(out)
+    assert doc["verdict"] == "ERROR"
+    assert "--order must be nonnegative" in doc["error"]
 
 
 # -- report plumbing ----------------------------------------------------------------

