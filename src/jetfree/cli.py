@@ -39,6 +39,17 @@ from .prolong import DiffeoJet, SubmanifoldJetPoint, VectorFieldJet, context_for
 def _rational(value, what: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise PreconditionViolation(f"{what} must be an exact rational string, got {value!r}")
+    if isinstance(value, str):
+        # reports print every rational in full, so refuse one that would
+        # be too long to print before Fraction builds 10**exponent
+        mantissa, _, exponent = value.strip().lower().partition("e")
+        try:
+            digits = len(mantissa) + (abs(int(exponent)) if exponent else 0)
+        except ValueError as exc:
+            raise PreconditionViolation(f"{what} is not a rational: {value[:40]!r}") from exc
+        limit = sys.get_int_max_str_digits() or 4300
+        if digits > limit:
+            raise PreconditionViolation(f"{what} has more than {limit} digits")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -203,6 +214,8 @@ def _load_point(space, path: str) -> SubmanifoldJetPoint:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise PreconditionViolation(f"point document is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the int-to-str limit
+        raise PreconditionViolation(f"point document has a number too long to read: {exc}") from exc
     return point_from_document(space, doc)
 
 
@@ -324,6 +337,8 @@ def cmd_frame(args) -> int:
         cs_doc = json.loads(args.cross_section)
     except json.JSONDecodeError as exc:
         raise PreconditionViolation(f"cross-section is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the int-to-str limit
+        raise PreconditionViolation(f"cross-section has a number too long to read: {exc}") from exc
     if not isinstance(cs_doc, dict) or not isinstance(cs_doc.get("fix"), dict):
         raise PreconditionViolation('cross-section must look like {"fix": {"x": "0"}}')
     fixes = {

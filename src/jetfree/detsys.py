@@ -332,12 +332,33 @@ def prolong_determining_system(ds: PseudogroupSpec, k: int) -> list[Expr]:
 # -- the point-independent layer -------------------------------------------------------
 
 
+def nonzero_columns(basis: FiberBasis) -> tuple[dict, ...]:
+    """Each basis element's nonzero coefficients {(a, B): c}."""
+    return tuple({key: c for key, c in elem.coeffs.items() if c != 0} for elem in basis.elements)
+
+
+def combine_columns(columns: tuple[dict, ...], weights) -> dict:
+    """Nonzero coefficients of the weighted sum of the columns."""
+    out: dict = {}
+    for w, col in zip(weights, columns):
+        if w:
+            for key, c in col.items():
+                out[key] = out.get(key, 0) + w * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _jet_key(z, n: int) -> tuple:
+    """Hashable key of the order-n truncation of a submanifold jet point."""
+    return (z.space, z.x, tuple(sorted((key, v) for key, v in z.u.items() if len(key[1]) <= n)))
+
+
 @dataclass(frozen=True, eq=False)
 class FreenessProblem:
     """Everything the freeness computations of one linear system share
     across points: the validated system, its prolongation to each jet
-    order (built and validated once per order), and the fiber basis at
-    each (order, base point) already solved.
+    order (built and validated once per order), the fiber basis at each
+    (order, base point) already solved, and the jet points found
+    LOCALLY_FREE.
 
     Fibers depend on the base point z = (x, u) only, so every lift of a
     jet point reuses the fibers of its base.  A problem lives as long as
@@ -346,7 +367,12 @@ class FreenessProblem:
 
     system: LinearDeterminingSystem
     _prolonged: dict = field(default_factory=dict, init=False, repr=False)
+    # (order, base) -> (fiber basis, its nonzero columns)
     _fibers: dict = field(default_factory=dict, init=False, repr=False)
+    # (n, order, base) -> nonzero columns of the fiber jets vanishing to order n
+    _vanishing: dict = field(default_factory=dict, init=False, repr=False)
+    # order -> keys of the points recorded LOCALLY_FREE at that order
+    _free: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, ps) -> FreenessProblem:
@@ -383,14 +409,51 @@ class FreenessProblem:
         ctx = context_for(self.space)
         return [e for e in self.prolonged(n).equations if ctx.max_order(e, "vf") <= n]
 
+    def _solved_fiber(self, n: int, z0: tuple) -> tuple[FiberBasis, tuple[dict, ...]]:
+        key = (n, tuple(z0))
+        solved = self._fibers.get(key)
+        if solved is None:
+            fb = fiber_basis(self, n, z0)
+            solved = (fb, nonzero_columns(fb))
+            self._fibers[key] = solved
+        return solved
+
     def fiber(self, n: int, z0: tuple) -> FiberBasis:
         """Fiber basis of order n at base point z0, solved on first use."""
-        key = (n, tuple(z0))
-        fb = self._fibers.get(key)
-        if fb is None:
-            fb = fiber_basis(self, n, z0)
-            self._fibers[key] = fb
-        return fb
+        return self._solved_fiber(n, z0)[0]
+
+    def fiber_columns(self, n: int, z0: tuple) -> tuple[dict, ...]:
+        """The fiber basis's nonzero columns (see nonzero_columns), built
+        once with the fiber."""
+        return self._solved_fiber(n, z0)[1]
+
+    def vanishing_columns(self, n: int, order: int, z0: tuple) -> tuple[dict, ...]:
+        """Nonzero columns of a basis of K, the order-`order` fiber jets at
+        z0 whose jets of order <= n are all zero: the null space of the
+        fiber basis's order-<= n coordinates, solved on first use."""
+        key = (n, order, tuple(z0))
+        K = self._vanishing.get(key)
+        if K is None:
+            columns = self.fiber_columns(order, z0)
+            K = ()
+            if columns:
+                low = [(a, B) for a, B, _ in context_for(self.space).vf_coords(n)]
+                rows = [[col.get(k, 0) for col in columns] for k in low]
+                K = tuple(combine_columns(columns, vec) for vec in nullspace(rows, len(columns)))
+            self._vanishing[key] = K
+        return K
+
+    def record_free(self, z) -> None:
+        """Record the jet point z as LOCALLY_FREE at its own order."""
+        self._free.setdefault(z.order, set()).add(_jet_key(z, z.order))
+
+    def free_truncation(self, z, below: int) -> int | None:
+        """The highest order k < min(below, z.order + 1) whose truncation
+        z^(k) was recorded LOCALLY_FREE, else None."""
+        for k in sorted(self._free, reverse=True):
+            if k < below and k <= z.order and _jet_key(z, k) in self._free[k]:
+                return k
+        return None
 
 
 # -- fibers ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ from .detsys import (
     FreenessProblem,
     PseudogroupSpec,
     basis_from_rows,
+    combine_columns,
     evaluated_rows,
+    nonzero_columns,
     vanishing_fiber_basis,
 )
 from .errors import (
@@ -72,12 +74,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 def _combine(basis: FiberBasis, vec: list[Scalar]) -> VectorFieldJet:
     """Linear combination of fiber basis elements with the given weights."""
     first = basis.elements[0]
-    coeffs = {key: scalar(0) for key in first.coeffs}
-    for c, elem in zip(vec, basis.elements):
-        if c == 0:
-            continue
-        for key, val in elem.coeffs.items():
-            coeffs[key] = coeffs[key] + c * val
+    coeffs = dict.fromkeys(first.coeffs, scalar(0))
+    coeffs.update(combine_columns(nonzero_columns(basis), vec))
     return VectorFieldJet(first.space, basis.order, basis.base, coeffs)
 
 
@@ -116,21 +114,24 @@ class FreenessVerdict:
         return self.verdict == LOCALLY_FREE
 
 
+def _products(lines: list, columns: tuple[dict, ...]) -> list[list[Scalar]]:
+    """Evaluated plan rows (nonzero (key, coefficient) pairs) times the
+    columns (nonzero {key: coefficient} of each fiber element)."""
+    return [
+        [sum((c * col[key] for key, c in terms if key in col), scalar(0)) for col in columns]
+        for terms in lines
+    ]
+
+
 def _restricted_matrix(
-    ctx: JetContext, z: SubmanifoldJetPoint, basis: FiberBasis
+    ctx: JetContext, z: SubmanifoldJetPoint, columns: tuple[dict, ...]
 ) -> tuple[list, list[list[Scalar]]]:
-    """prolong_at_point(ctx, z) times the basis elements, without the dense
-    matrix: the order's phihat plan evaluates every row's coefficients at
-    z at once, dropping the zero ones, and the rest are paired with each
-    element's nonzero coefficients only."""
-    nonzero = [
-        {key: c for key, c in elem.coeffs.items() if c != 0} for elem in basis.elements
-    ]
-    entries = [
-        [sum((c * nz[key] for key, c in terms if key in nz), scalar(0)) for nz in nonzero]
-        for terms in ctx.phihat_plan(z.order).evaluate(_point_env(ctx, z))
-    ]
-    return ctx.jn_coords(z.order), entries
+    """prolong_at_point(ctx, z) times the fiber elements given by their
+    nonzero columns, without the dense matrix: the order's phihat plan
+    evaluates every row's coefficients at z at once, dropping the zero
+    ones, and the rest are paired with the columns' entries only."""
+    lines = ctx.phihat_plan(z.order).evaluate(_point_env(ctx, z))
+    return ctx.jn_coords(z.order), _products(lines, columns)
 
 
 def prolongation_matrix(ps, n: int, z: SubmanifoldJetPoint) -> ProlongationMatrix:
@@ -147,21 +148,61 @@ def prolongation_matrix(ps, n: int, z: SubmanifoldJetPoint) -> ProlongationMatri
         raise OrderMismatch(f"need an order-{n} jet point, got order {z.order}")
     zn = z.truncate(n)
     ctx = context_for(problem.space)
-    basis = problem.fiber(n, zn.base)
-    rows, entries = _restricted_matrix(ctx, zn, basis)
-    return ProlongationMatrix(n, zn, rows, basis, entries)
+    columns = problem.fiber_columns(n, zn.base)
+    rows, entries = _restricted_matrix(ctx, zn, columns)
+    return ProlongationMatrix(n, zn, rows, problem.fiber(n, zn.base), entries)
+
+
+def _lift_verdict(problem: FreenessProblem, n: int, z: SubmanifoldJetPoint) -> FreenessVerdict | None:
+    """LOCALLY_FREE at z^(n), decided on the block of order above k, when
+    the problem recorded a truncation z^(k), k < n, as free; None when
+    there is no such record or the block has a kernel.
+
+    The rows of order <= k of the restricted matrix involve only z^(k)
+    and the field jets of order <= k, so they are the same at every lift
+    of z^(k), and injective on the order-k fiber because z^(k) is free.
+    A kernel vector at z^(n) therefore lies in K, the fiber jets
+    vanishing to order k, and on K the rows of order <= k vanish: z^(n)
+    is free exactly when the rows of order k+1..n, evaluated at z^(n),
+    have trivial kernel on K."""
+    if z.order < n:
+        return None  # the full path raises OrderMismatch
+    k = problem.free_truncation(z, n)
+    if k is None:
+        return None
+    zn = z.truncate(n)
+    K = problem.vanishing_columns(k, n, zn.base)
+    if K:
+        ctx = context_for(problem.space)
+        lines = ctx.phihat_plan(n, above=k).evaluate(_point_env(ctx, zn))
+        if rank(_products(lines, K)) < len(K):
+            return None
+    fdim = problem.fiber(n, zn.base).dimension
+    return FreenessVerdict(n, zn, fdim, 0, [], fdim, LOCALLY_FREE)
 
 
 def local_freeness(ps, n: int, z: SubmanifoldJetPoint) -> FreenessVerdict:
     """Exact verdict: LOCALLY_FREE iff the prolongation matrix has trivial
-    kernel on the fiber."""
-    pm = prolongation_matrix(ps, n, z)
-    fdim = pm.basis.dimension
-    kern = nullspace(pm.entries, fdim)
-    kernel_basis = [_combine(pm.basis, vec) for vec in kern]
-    kdim = len(kern)
-    verdict = LOCALLY_FREE if kdim == 0 else NOT_LOCALLY_FREE
-    return FreenessVerdict(n, pm.point, fdim, kdim, kernel_basis, fdim - kdim, verdict)
+    kernel on the fiber.
+
+    Pass one FreenessProblem to reuse its work: every LOCALLY_FREE point
+    is recorded on it, and a lift of a recorded point is decided on the
+    top-order block alone (_lift_verdict).  A block with a kernel falls
+    back to the full matrix, so the kernel basis is always the full
+    path's."""
+    problem = FreenessProblem.of(ps)
+    verdict = _lift_verdict(problem, n, z)
+    if verdict is None:
+        pm = prolongation_matrix(problem, n, z)
+        fdim = pm.basis.dimension
+        kern = nullspace(pm.entries, fdim)
+        kernel_basis = [_combine(pm.basis, vec) for vec in kern]
+        kdim = len(kern)
+        free = LOCALLY_FREE if kdim == 0 else NOT_LOCALLY_FREE
+        verdict = FreenessVerdict(n, pm.point, fdim, kdim, kernel_basis, fdim - kdim, free)
+    if verdict.is_free:
+        problem.record_free(verdict.point)
+    return verdict
 
 
 def isotropy_algebra(ps, n: int, z: SubmanifoldJetPoint) -> FiberBasis:
@@ -173,7 +214,7 @@ def isotropy_algebra(ps, n: int, z: SubmanifoldJetPoint) -> FiberBasis:
     vb = vanishing_fiber_basis(problem, n, zn.base)
     if vb.dimension == 0:
         return FiberBasis(zn.base, n, [])
-    _, entries = _restricted_matrix(ctx, zn, vb)
+    _, entries = _restricted_matrix(ctx, zn, nonzero_columns(vb))
     kern = nullspace(entries, vb.dimension)
     return FiberBasis(zn.base, n, [_combine(vb, vec) for vec in kern])
 

@@ -158,7 +158,7 @@ class JetContext:
         self._qtot: dict[tuple[int, MultiIndex], Expr] = {}
         self._phihat: dict[tuple[int, MultiIndex], Expr] = {}
         self._phihat_coeffs: dict[tuple[int, MultiIndex], tuple[tuple[int, Expr], ...]] = {}
-        self._phihat_plans: dict[int, PhihatPlan] = {}
+        self._phihat_plans: dict[tuple[int, int], PhihatPlan] = {}
 
     # -- naming --------------------------------------------------------------
 
@@ -432,12 +432,13 @@ class JetContext:
         self._phihat_coeffs[(al, J)] = out
         return out
 
-    def phihat_plan(self, n: int) -> PhihatPlan:
-        """The compiled phihat coefficients of every row of J^n."""
-        plan = self._phihat_plans.get(n)
+    def phihat_plan(self, n: int, above: int = -1) -> PhihatPlan:
+        """The compiled phihat coefficients of the rows of J^n; with
+        above = k >= 0, only the block of order above k (see PhihatPlan)."""
+        plan = self._phihat_plans.get((n, above))
         if plan is None:
-            plan = PhihatPlan(self, n)
-            self._phihat_plans[n] = plan
+            plan = PhihatPlan(self, n, above)
+            self._phihat_plans[(n, above)] = plan
         return plan
 
 
@@ -446,20 +447,28 @@ class PhihatPlan:
     order: each row's phihat coefficients (a 1 on zeta^i for an x^i row)
     compiled to integer polynomial terms over one shared table of
     monomials in (x, u-jets).  Evaluating the plan at a point evaluates
-    each monomial once for the whole matrix, in integer arithmetic."""
+    each monomial once for the whole matrix, in integer arithmetic.
 
-    def __init__(self, ctx: JetContext, n: int):
+    With above = k >= 0 the plan keeps only the rows of order above k
+    (an x^i row has order 0) and, in them, only the zeta-jets of order
+    above k: the block that acts on fiber jets vanishing to order k."""
+
+    def __init__(self, ctx: JetContext, n: int, above: int = -1):
         ctx.ensure_vf(n)
         monos: dict[Mono, int] = {}
         degree: dict[int, int] = {}
         rows = []
         for row in ctx.jn_coords(n):
+            if (0 if row[0] == "x" else len(row[2])) <= above:
+                continue
             if row[0] == "x":
                 pairs: tuple[tuple[int, Expr], ...] = ((ctx.vf_var(row[1], ()), ctx.const(1)),)
             else:
                 pairs = ctx.phihat_coeffs(row[1], row[2])
             entries = []
             for vid, coeff in pairs:
+                if len(ctx.info(vid)[2]) <= above:
+                    continue
                 if not coeff.is_polynomial():
                     raise ArithmeticError(f"phihat coefficient is not a polynomial: {coeff}")
                 den = lcm(*(c.denominator for c in coeff.num.values()))

@@ -239,6 +239,40 @@ def test_bad_point_file_exits_2(capsys, tmp_path):
     assert _report(out)["verdict"] == "ERROR"
 
 
+HUGE_INT = "9" * 5000  # a JSON integer literal past the int-to-str limit
+
+
+@pytest.mark.parametrize("case", ["exponent", "point-integer", "cross-section-integer"])
+def test_oversized_numbers_exit_2(capsys, tmp_path, case):
+    argv = ["freeness", "e1", "--order", "1", "--json", "--point"]
+    if case == "exponent":
+        argv.append(_point_file(tmp_path, {**P_FREE, "jets": {"u.x": "1e400000"}}))
+    elif case == "point-integer":
+        path = tmp_path / "huge.json"
+        path.write_text('{"order": 1, "independent": {"x": %s}, "dependent": {"u": "0"}, '
+                        '"jets": {"u.x": "1"}}' % HUGE_INT, encoding="utf-8")
+        argv.append(str(path))
+    else:
+        argv = ["frame", "e1", "--order", "1", "--json", "--point",
+                _point_file(tmp_path, P_SLOPE2), "--cross-section", '{"fix": {"x": %s}}' % HUGE_INT]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert err == ""
+    doc = _report(out)
+    assert doc["verdict"] == "ERROR"
+    assert "digits" in doc["error"] or "too long" in doc["error"]
+
+
+def test_exponent_notation_within_the_limit_is_accepted():
+    space = SpaceSpec(("x",), ("u",))
+    doc = {"order": 1, "independent": {"x": "2e3"}, "dependent": {"u": "-15e-1"}, "jets": {"u.x": "1E2"}}
+    z = point_from_document(space, doc)
+    assert z.x == (Fraction(2000),)
+    assert z.u[(0, ())] == Fraction(-3, 2) and z.u[(0, (0,))] == Fraction(100)
+    with pytest.raises(PreconditionViolation):
+        point_from_document(space, {**doc, "jets": {"u.x": "1e"}})
+
+
 # -- persistence --------------------------------------------------------------------
 
 

@@ -330,3 +330,50 @@ def test_phihat_plan_rejects_non_polynomial_coefficient(monkeypatch):
     monkeypatch.setattr(ctx, "phihat_coeffs", lambda al, J: ((zx, 1 / u),))
     with pytest.raises(ArithmeticError, match="not a polynomial"):
         ctx.phihat_plan(0)
+
+
+def _row_order(row) -> int:
+    return 0 if row[0] == "x" else len(row[2])
+
+
+# p = q = 1 is the space of e1-e3, (x, y; u) that of tests/specs/p2.psg;
+# the plans depend on the space alone
+@pytest.mark.parametrize("make_ctx,top", [(_ctx_pq11, 5), (_ctx_pq21, 4)])
+def test_phihat_plan_rows_respect_the_order_filtration(make_ctx, top):
+    """A row of order k references field jets zeta^a_B with |B| <= k and
+    submanifold jets of order <= k only: the fact that makes the
+    restricted matrix block lower-triangular along the order filtration."""
+    ctx = make_ctx()
+    plan = ctx.phihat_plan(top)
+    rows = ctx.jn_coords(top)
+    assert len(plan.rows) == len(rows)
+    for row, entries in zip(rows, plan.rows):
+        k = _row_order(row)
+        for (_, B), _, terms in entries:
+            assert len(B) <= k, (row, B)
+            for i, _ in terms:
+                for vid, _ in plan.monos[i]:
+                    info = ctx.info(vid)
+                    assert info[0] in ("source", "sub"), (row, info)
+                    if info[0] == "sub":
+                        assert len(info[2]) <= k, (row, ctx.reg.name(vid))
+
+
+@pytest.mark.parametrize("make_ctx,top", [(_ctx_pq11, 4), (_ctx_pq21, 3)])
+def test_phihat_plan_block_above_an_order(make_ctx, top):
+    """phihat_plan(n, above=k) evaluates to the full plan's rows of order
+    above k, restricted to the field jets of order above k."""
+    ctx = make_ctx()
+    env = _jet_env(ctx, top, random.Random(7))
+    full = ctx.phihat_plan(top).evaluate(env)
+    orders = [_row_order(row) for row in ctx.jn_coords(top)]
+    for k in range(top):
+        block = ctx.phihat_plan(top, above=k)
+        assert block is ctx.phihat_plan(top, above=k)
+        want = [
+            [(key, c) for key, c in line if len(key[1]) > k]
+            for line, order in zip(full, orders)
+            if order > k
+        ]
+        assert block.evaluate(env) == want
+    assert ctx.phihat_plan(top, above=-1) is ctx.phihat_plan(top)

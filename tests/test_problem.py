@@ -3,7 +3,9 @@
 The oracle rebuilds everything for each point: a fresh fiber basis from
 the declared system and the dense prolong_at_point matrix times that
 basis.  Verdicts, fiber dimensions, restricted matrices and kernel bases
-computed through one reused FreenessProblem must agree with it exactly.
+computed through one reused FreenessProblem must agree with it exactly,
+including the verdicts the problem decides on the top-order block at
+lifts of points it recorded as free.
 """
 
 from __future__ import annotations
@@ -16,10 +18,14 @@ import pytest
 
 from jetfree.detsys import FreenessProblem, declared_linear_system, fiber_basis
 from jetfree.dsl import SpecSource, load_bundled_spec, parse_spec
+import jetfree.freeness as freeness
 from jetfree.freeness import (
     LOCALLY_FREE,
     NOT_LOCALLY_FREE,
+    PERSISTS,
+    _lift_verdict,
     local_freeness,
+    persistence_sweep,
     prolongation_matrix,
 )
 from jetfree.jetspace import mi_enumerate
@@ -140,3 +146,86 @@ def test_problem_prolongs_each_order_once():
     assert problem.prolonged(3) is problem.prolonged(3)
     assert problem.prolonged(0) is problem.prolonged(problem.system.order)
     assert FreenessProblem.of(problem.system).system is problem.system
+
+
+@pytest.mark.parametrize("name,low,high", CASES)
+def test_block_lift_verdicts_match_full_recomputation(name, low, high):
+    """Lifts of a recorded free point are decided on the block of order
+    above the base order, with no fallback, and agree with the oracle."""
+    spec = _spec(name)
+    rng = random.Random(f"block:{name}")
+    problem = FreenessProblem.of(spec)
+    for _ in range(3):
+        z = _point(name, spec.space, low, rng, free=True)
+        assert local_freeness(problem, low, z).is_free
+        for order in range(low + 1, high + 1):
+            # e2's fiber dimension does not grow with the order: K is {0}
+            K = problem.vanishing_columns(low, order, z.base)
+            assert (len(K) == 0) == (name == "e2")
+            for _ in range(2):
+                lift = lift_jet_point(z, order - low, rng, 6)
+                block = _lift_verdict(problem, order, lift)
+                assert block is not None
+                fdim, _, kernel = _oracle(spec, order, lift)
+                assert kernel == []
+                assert block.verdict == LOCALLY_FREE
+                assert (block.fiber_dimension, block.kernel_dimension, block.orbit_dimension) == (fdim, 0, fdim)
+                assert block.kernel_basis == []
+                assert block.point == lift.truncate(order)
+                assert local_freeness(problem, order, lift) == block
+
+
+@pytest.mark.parametrize("name,low", [("e1", 1), ("e3", 1), ("p2", 1)])
+def test_block_with_a_kernel_falls_back_to_the_full_matrix(name, low):
+    """A non-free point recorded as free: the block has a kernel at its
+    lifts, and the verdict is the full path's, kernel basis included."""
+    spec = _spec(name)
+    rng = random.Random(f"fallback:{name}")
+    problem = FreenessProblem.of(spec)
+    z = _point(name, spec.space, low, rng, free=False)
+    assert not local_freeness(problem, low, z).is_free
+    problem.record_free(z)
+    assert problem.free_truncation(z, low + 1) == low
+    for order in (low + 1, low + 2):
+        lift = lift_jet_point(z, order - low, rng, 6)
+        assert _lift_verdict(problem, order, lift) is None
+        v = _assert_agrees(spec, problem, order, lift)
+        assert v.verdict == NOT_LOCALLY_FREE
+        assert v.point == lift
+
+
+def test_free_truncation_needs_a_lower_order_record():
+    spec = _spec("e1")
+    rng = random.Random("records")
+    problem = FreenessProblem.of(spec)
+    z = _point("e1", spec.space, 1, rng, free=True)
+    lift = lift_jet_point(z, 2, rng, 6)
+    assert problem.free_truncation(lift, 3) is None
+    local_freeness(problem, 1, z)
+    assert problem.free_truncation(lift, 3) == 1
+    assert problem.free_truncation(lift, 1) is None
+    assert problem.free_truncation(z, 2) == 1
+    other = lift_jet_point(_point("e1", spec.space, 1, rng, free=True), 2, rng, 6)
+    assert problem.free_truncation(other, 3) is None
+    # a recorded order-2 lift is the highest free truncation of its own lifts
+    local_freeness(problem, 2, lift)
+    assert problem.free_truncation(lift, 3) == 2
+
+
+@pytest.mark.parametrize("name,low", [("e1", 1), ("e2", 2), ("e3", 1), ("p2", 1)])
+def test_sweep_calls_local_freeness_once_per_point(monkeypatch, name, low):
+    spec = _spec(name)
+    calls = []
+    real = freeness.local_freeness
+
+    def counted(ps, n, z):
+        calls.append(n)
+        return real(ps, n, z)
+
+    monkeypatch.setattr(freeness, "local_freeness", counted)
+    rng = random.Random(f"sweep:{name}")
+    z = _point(name, spec.space, low, rng, free=True)
+    rep = persistence_sweep(spec, low, z, low + 2, 3, 5, bound=6)
+    assert rep.verdict == PERSISTS
+    assert len(calls) == 1 + rep.lifts_checked + rep.skipped
+    assert calls[0] == low and sorted(calls[1:]) == calls[1:]
