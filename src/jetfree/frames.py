@@ -44,7 +44,7 @@ from .errors import (
 )
 from .freeness import prolongation_matrix
 from .jetspace import MultiIndex, SpaceSpec, mi_enumerate
-from .linalg import rank
+from .linalg import rank, solve_square
 from .prolong import (
     DiffeoJet,
     SubmanifoldJetPoint,
@@ -236,25 +236,6 @@ def _verify_frame(cs: CrossSection, jet: DiffeoJet, zn: SubmanifoldJetPoint, tol
             )
 
 
-def _solve_float(a: list[list[float]], b: list[float]) -> list[float] | None:
-    n = len(a)
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
-        if m[piv][c] == 0.0:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            for k in range(c, n + 1):
-                m[r][k] -= f * m[c][k]
-    out = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        s = m[r][n] - sum(m[r][j] * out[j] for j in range(r + 1, n))
-        out[r] = s / m[r][r]
-    return out
-
-
 def _newton_frame(
     n: int, cs: CrossSection, zn: SubmanifoldJetPoint, system: StagedSystem
 ) -> DiffeoJet | None:
@@ -293,7 +274,7 @@ def _newton_frame(
             [sum(row[i] * row[j] for row in jvals) for j in range(cols)] for i in range(cols)
         ]
         rhs = [sum(row[i] * f for row, f in zip(jvals, fvals)) for i in range(cols)]
-        step = _solve_float(normal, rhs)
+        step = solve_square(normal, rhs)
         if step is None:
             return None
         x = [xi - s for xi, s in zip(x, step)]

@@ -266,15 +266,6 @@ class JetContext:
                     out.append((a, B, self._vf[(a, B)]))
         return out
 
-    def target_coords(self, n: int) -> list[tuple[int, MultiIndex, int]]:
-        self.ensure_target(n)
-        out = []
-        for k in range(n + 1):
-            for a in range(self.space.m):
-                for B in mi_enumerate(self.space.m, k):
-                    out.append((a, B, self._target[(a, B)]))
-        return out
-
     def jn_coords(self, n: int) -> list[tuple]:
         """Coordinates of the submanifold jet space of order n, in row order:
         x^i first, then u^alpha_J by increasing order.  Entries are

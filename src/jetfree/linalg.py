@@ -1,13 +1,13 @@
-"""Exact linear algebra over rationals and over rational-function matrices.
+"""Exact linear algebra over rationals, and dense square solves over any field.
 
 Rational matrices are lists of rows of ``Fraction``.  Reduced echelon
 form, ranks, kernels and affine solves share one sparse fraction-free
 Gauss-Jordan elimination over integer rows, so they are exact by
 construction and cost little on the mostly-zero matrices of fiber and
-freeness problems; determinants use Bareiss elimination.
-Rational-function matrices (entries :class:`~jetfree.symkernel.Expr`)
-get determinant and inverse through field elimination with structural
-zero tests, which canonical form makes decidable.
+freeness problems.  Determinants, inverses and square solves share one
+dense Gaussian elimination over the field of their entries: ``Fraction``,
+float, or :class:`~jetfree.symkernel.Expr`, whose zero test is
+structural, which canonical form makes decidable.
 """
 
 from __future__ import annotations
@@ -22,56 +22,6 @@ from .symkernel import Expr
 Row = list[Fraction]
 
 _ZERO = Fraction(0)
-
-
-def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        lcm = 1
-        for c in row:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        out.append([int(c * lcm) for c in row])
-    return out
-
-
-def _bareiss_forward(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free row echelon form.
-
-    Returns (echelon rows, pivot column list, sign of row permutation).
-    Entries stay integral throughout; each pivot row is exact up to the
-    running divisor, which cancels in rank/kernel/determinant uses.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    m = [row[:] for row in m]
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-            sign = -sign
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            fi = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c, ncols):
-                row_i[j] = (pivot * row_i[j] - fi * row_r[j]) // prev
-        prev = pivot
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots, sign
 
 
 def _eliminate(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, dict[int, int]]]:
@@ -211,93 +161,78 @@ def solve_affine(
     return x, _kernel(pivots, ncols)
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    ints = _clear_denominators(rows)
-    scale = Fraction(1)
-    for orig, cleared in zip(rows, ints):
-        for co, ci in zip(orig, cleared):
-            if ci:
-                scale /= Fraction(ci) / co
-                break
-        else:
-            return Fraction(0)
-    ech, pivots, sign = _bareiss_forward(ints)
-    if len(pivots) < n:
-        return Fraction(0)
-    # Bareiss: last pivot of the full forward pass is det of the integer matrix
-    return sign * Fraction(ech[-1][pivots[-1]]) * scale
 
 
 # ---------------------------------------------------------------------------
-# rational-function matrices
+# dense square systems over any field: Fraction, float or Expr
 
 
-def expr_det(rows: Sequence[Sequence[Expr]]) -> Expr:
-    """Determinant of a square Expr matrix (cofactor for tiny, elimination else)."""
-    n = len(rows)
-    reg = rows[0][0].reg
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    m = [list(r) for r in rows]
-    result = Expr.const(reg, 1)
+def _gauss(m: list[list], n: int) -> tuple[int, list[list] | None]:
+    """Dense Gaussian elimination in place over the field of m's entries.
+
+    Forward elimination brings the leading n x n block of m to upper
+    triangular form; back substitution then solves block * X = R for the
+    columns R right of the block.  A column's pivot is its largest entry
+    in absolute value for numbers (Fraction or float) and its first
+    nonzero entry for Expr, whose zero test is structural.  Elimination
+    stops at the first column without a pivot, whose diagonal entry is
+    then zero.  Returns (sign of the row permutation, rows of X), X None
+    when the block is singular.
+    """
+    sign = 1
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not m[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            return Expr.const(reg, 0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            result = -result
-        pivot = m[c][c]
-        result = result * pivot
-        for i in range(c + 1, n):
-            f = m[i][c] / pivot
-            if f.is_zero():
-                continue
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result
+        rows = range(c, n)
+        if isinstance(m[c][c], Expr):
+            p = next((r for r in rows if m[r][c] != 0), c)
+        else:
+            p = max(rows, key=lambda r: abs(m[r][c]))
+        if m[p][c] == 0:
+            return sign, None
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            sign = -sign
+        top = m[c]
+        for r in range(c + 1, n):
+            row = m[r]
+            f = row[c] / top[c]
+            for k in range(c, len(row)):
+                row[k] -= f * top[k]
+    x: list[list] = [[]] * n
+    for r in range(n - 1, -1, -1):
+        row = m[r]
+        x[r] = [
+            (row[t] - sum(row[j] * x[j][t - n] for j in range(r + 1, n))) / row[r]
+            for t in range(n, len(row))
+        ]
+    return sign, x
+
+
+def det(rows: Sequence[Sequence]) -> object:
+    """Determinant of a square matrix over Fraction, float or Expr."""
+    m = [list(r) for r in rows]
+    sign, _ = _gauss(m, len(m))
+    d = math.prod(m[c][c] for c in range(len(m)))
+    return d if sign > 0 else -d
+
+
+def solve_square(a: Sequence[Sequence], b: Sequence) -> list | None:
+    """The solution of the square system a x = b over the field of its
+    entries, or None when a is singular."""
+    _, x = _gauss([list(row) + [rhs] for row, rhs in zip(a, b)], len(a))
+    return None if x is None else [v for v, in x]
 
 
 def expr_inverse(
     rows: Sequence[Sequence[Expr]], singular_error: type[Exception] = SingularJacobian
 ) -> list[list[Expr]]:
-    """Exact inverse of a square Expr matrix by Gauss-Jordan over the
-    rational-function field; raises ``singular_error`` when the matrix is
-    singular as a matrix of rational functions."""
+    """Exact inverse of a square Expr matrix over the rational-function
+    field; raises ``singular_error`` when the matrix is singular as a
+    matrix of rational functions."""
     n = len(rows)
     reg = rows[0][0].reg
-    zero = Expr.const(reg, 0)
-    one = Expr.const(reg, 1)
-    m = [list(r) for r in rows]
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not m[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            raise singular_error("matrix of rational functions is singular")
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            inv[c], inv[pr] = inv[pr], inv[c]
-        pivot = m[c][c]
-        m[c] = [e / pivot for e in m[c]]
-        inv[c] = [e / pivot for e in inv[c]]
-        for i in range(n):
-            if i == c:
-                continue
-            f = m[i][c]
-            if f.is_zero():
-                continue
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-            inv[i] = [a - f * b for a, b in zip(inv[i], inv[c])]
-    return inv
+    one, zero = Expr.const(reg, 1), Expr.const(reg, 0)
+    m = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
+    _, inverse = _gauss(m, n)
+    if inverse is None:
+        raise singular_error("matrix of rational functions is singular")
+    return inverse

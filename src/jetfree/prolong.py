@@ -55,25 +55,6 @@ def _is_exact(value) -> bool:
     return not isinstance(value, float)
 
 
-def _float_det(rows: list[list[float]]) -> float:
-    m = [list(map(float, r)) for r in rows]
-    n = len(m)
-    out = 1.0
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
-        if m[piv][c] == 0.0:
-            return 0.0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = -out
-        out *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            for k in range(c, n):
-                m[r][k] -= f * m[c][k]
-    return out
-
-
 @dataclass
 class DiffeoJet:
     """Jet of a local diffeomorphism: source point and target coefficients
@@ -96,11 +77,7 @@ class DiffeoJet:
             raise ValueError("jet coefficients incomplete or overfull")
         if self.order >= 1:
             block = [[self.coeffs[(a, (b,))] for b in range(m)] for a in range(m)]
-            if all(_is_exact(v) for row in block for v in row):
-                singular = det(block) == 0
-            else:
-                singular = _float_det(block) == 0.0
-            if singular:
+            if det(block) == 0:
                 raise SingularJet("first-order block of the jet is singular")
 
     @property
@@ -142,9 +119,6 @@ class SubmanifoldJetPoint:
     def base(self) -> tuple:
         """Underlying point of M: (x, u) values."""
         return self.x + tuple(self.u[(al, ())] for al in range(self.space.q))
-
-    def value(self, al: int, J: MultiIndex) -> object:
-        return self.u[(al, tuple(sorted(J)))]
 
     def truncate(self, n: int) -> SubmanifoldJetPoint:
         if n > self.order:
@@ -402,14 +376,9 @@ def act_on_jet(g: DiffeoJet, z: SubmanifoldJetPoint) -> SubmanifoldJetPoint:
     env = _point_env(ctx, z)
     for key, val in g.coeffs.items():
         env[ctx.target_var(*key)] = val
-    exact = g.is_exact() and all(_is_exact(v) for v in env.values())
     if n >= 1:
         jac = [[e.eval(env) for e in row] for row in ctx.total_jacobian()]
-        if exact:
-            singular = det(jac) == 0
-        else:
-            singular = _float_det(jac) == 0.0
-        if singular:
+        if det(jac) == 0:
             raise SingularTotalJacobian("total Jacobian degenerates; jet leaves the chart")
     newx = tuple(g.coeffs[(i, ())] for i in range(p))
     newu: dict[tuple[int, MultiIndex], object] = {}

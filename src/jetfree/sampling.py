@@ -28,13 +28,6 @@ def random_rational(rng: random.Random, bound: int = 10) -> Scalar:
     return scalar(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def random_nonzero_rational(rng: random.Random, bound: int = 10) -> Scalar:
-    while True:
-        v = random_rational(rng, bound)
-        if v != 0:
-            return v
-
-
 def random_point(space: SpaceSpec, rng: random.Random, bound: int = 10) -> tuple:
     return tuple(random_rational(rng, bound) for _ in range(space.m))
 

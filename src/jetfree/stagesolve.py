@@ -26,38 +26,32 @@ CoordKey = tuple
 def extract_affine(
     e: Expr,
     unknowns: list[int],
-    reg: VarRegistry,
     error: type[Exception] = PreconditionViolation,
 ) -> tuple[list[Scalar], Scalar]:
-    """Write e as const + sum(coeff_i * unknown_i), exactly.
+    """Write e as const + sum(coeff_i * unknown_i), exactly, read off its
+    canonical polynomial.
 
     Raises the given error class when e is not affine in the unknowns
     (including unknowns in a denominator) or depends on other variables.
     """
-    zero = {v: Expr.const(reg, 0) for v in unknowns}
-    try:
-        const = e.subst(zero).as_scalar()
-    except Exception as exc:
-        raise error(f"stage equation is not affine in the stage unknowns: {e}") from exc
-    coeffs = []
-    rebuilt = Expr.const(reg, const)
-    for v in unknowns:
-        try:
-            c = e.diff(v).subst(zero).as_scalar()
-        except Exception as exc:
-            raise error(f"stage equation is not affine in the stage unknowns: {e}") from exc
-        coeffs.append(c)
-        if c != 0:
-            rebuilt = rebuilt + Expr.const(reg, c) * Expr.var(reg, v)
-    if not (rebuilt - e).is_zero():
+    if not e.is_polynomial():
         raise error(f"stage equation is not affine in the stage unknowns: {e}")
+    where = {v: i for i, v in enumerate(unknowns)}
+    coeffs = [scalar(0)] * len(unknowns)
+    const = scalar(0)
+    for mono, c in e.num.items():
+        if not mono:
+            const = c
+        elif len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in where:
+            coeffs[where[mono[0][0]]] = c
+        else:
+            raise error(f"stage equation is not affine in the stage unknowns: {e}")
     return coeffs, const
 
 
 def solve_affine_exprs(
     equations: list[Expr],
     unknowns: list[int],
-    reg: VarRegistry,
     error: type[Exception] = PreconditionViolation,
 ) -> tuple[list[Scalar], list[list[Scalar]]]:
     """Solve equations(unknowns) = 0 where each equation is affine in the
@@ -66,20 +60,12 @@ def solve_affine_exprs(
     Raises NoSolution if the affine system is inconsistent, and the given
     error class if an equation is not affine.
     """
-    rows, rhs = [], []
+    # one zero row leaves every unknown free when there is no equation
+    rows, rhs = [[scalar(0)] * len(unknowns)], [scalar(0)]
     for e in equations:
-        if e.is_zero():
-            continue
-        coeffs, const = extract_affine(e, unknowns, reg, error)
+        coeffs, const = extract_affine(e, unknowns, error)
         rows.append(coeffs)
-        rhs.append(scalar(0) - const)
-    if not rows:
-        basis = []
-        for i in range(len(unknowns)):
-            vec = [scalar(0)] * len(unknowns)
-            vec[i] = scalar(1)
-            basis.append(vec)
-        return [scalar(0)] * len(unknowns), basis
+        rhs.append(-const)
     return solve_affine(rows, rhs)
 
 
@@ -101,7 +87,7 @@ def solve_stage(
     keys = [(a, B) for a in range(m) for B in mi_enumerate(m, k)]
     fixed = {var(*key): Expr.const(reg, v) for key, v in values.items()}
     part, kern = solve_affine_exprs(
-        [e.subst(fixed) for e in equations], [var(*key) for key in keys], reg
+        [e.subst(fixed) for e in equations], [var(*key) for key in keys]
     )
     return keys, part, kern
 

@@ -68,9 +68,6 @@ class VarRegistry:
         except KeyError:
             raise UnknownVariable(f"unknown variable {name!r}") from None
 
-    def contains(self, name: str) -> bool:
-        return name in self._ids
-
     def name(self, vid: VarId) -> str:
         try:
             return self._names[vid]
@@ -246,12 +243,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
                 else:
                     del out[m]
     return out
-
-
-def poly_scale(a: Poly, c: Fraction) -> Poly:
-    if not c:
-        return {}
-    return {m: q * c for m, q in a.items()}
 
 
 def poly_diff(a: Poly, vid: VarId) -> Poly:
@@ -843,9 +834,6 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({format_expr(self)})"
-
-    def degree_in(self, vid: VarId) -> int:
-        return poly_degree_in(self.num, vid) - (0 if not _poly_has(self.den, vid) else poly_degree_in(self.den, vid))
 
 
 def _poly_has(p: Poly, vid: VarId) -> bool:
