@@ -11,6 +11,7 @@ point.  Exit codes: 0 affirmative, 1 negative verdict, 2 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -18,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .detsys import PseudogroupSpec
-from .dsl import SpecSource, load_bundled_spec, parse_spec, serialize_spec
+from .dsl import ParseDiagnostic, SpecSource, load_bundled_spec, parse_spec, serialize_spec
 from .errors import JetfreeError, NoSolution, NotTransversal, PreconditionViolation
 from .frames import CrossSection, MovingFrameChart, invariants
 from .freeness import (
@@ -187,7 +188,10 @@ def _emit(doc: dict) -> None:
 def _read_source(arg: str) -> SpecSource:
     path = Path(arg)
     if path.exists():
-        return SpecSource.from_file(path)
+        try:
+            return SpecSource.from_file(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PreconditionViolation(f"cannot read spec {arg!r}: {exc}") from exc
     name = arg[:-4] if arg.endswith(".psg") else arg
     try:
         return load_bundled_spec(name)
@@ -195,9 +199,22 @@ def _read_source(arg: str) -> SpecSource:
         raise PreconditionViolation(f"spec not found: {arg!r} (no such file or bundled name)") from exc
 
 
+# distinct spec texts whose parsed spec a process keeps
+SPEC_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _parsed(text: str) -> tuple[PseudogroupSpec | None, tuple[ParseDiagnostic, ...]]:
+    """parse_spec of the spec text, kept for the most recently used
+    texts.  A spec owns its linear system and prolongations, so commands
+    on one spec text share that work; point state is never kept."""
+    spec, diags = parse_spec(text)
+    return spec, tuple(diags)
+
+
 def _require_spec(arg: str) -> PseudogroupSpec:
     src = _read_source(arg)
-    spec, diags = parse_spec(src)
+    spec, diags = _parsed(src.text)
     errors = [d for d in diags if d.severity == "error"]
     if spec is None or errors:
         rendered = "; ".join(d.render(src.origin) for d in errors) or "unparseable spec"
@@ -208,7 +225,7 @@ def _require_spec(arg: str) -> PseudogroupSpec:
 def _load_point(space, path: str) -> SubmanifoldJetPoint:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionViolation(f"cannot read point document: {exc}") from exc
     try:
         doc = json.loads(raw)

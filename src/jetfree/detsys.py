@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     CoefficientSingularity,
@@ -41,23 +42,30 @@ def _check_kinds(ctx: JetContext, e: Expr, allowed: tuple[str, ...], what: str) 
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PseudogroupSpec:
     """A pseudogroup given by determining equations on diffeomorphism jets
     and/or an infinitesimal system on vector-field jets, both of order
-    at most base_order."""
+    at most base_order.
+
+    A spec is immutable, and it owns the work that depends on it and the
+    jet order alone: its linear system (:attr:`linear_system`) and the
+    prolongations of its determining system (:meth:`determining_closure`)
+    are built on first use and kept for the spec's lifetime."""
 
     space: SpaceSpec
     base_order: int
     determining: tuple[Expr, ...] = ()
     infinitesimal: tuple[Expr, ...] = ()
     name: str = ""
+    # target order bound -> the determining closure by target order
+    _closures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_order < 1:
             raise PreconditionViolation("base order must be at least 1")
-        self.determining = tuple(self.determining)
-        self.infinitesimal = tuple(self.infinitesimal)
+        object.__setattr__(self, "determining", tuple(self.determining))
+        object.__setattr__(self, "infinitesimal", tuple(self.infinitesimal))
         if not self.determining and not self.infinitesimal:
             raise PreconditionViolation(
                 "need determining equations or an infinitesimal system"
@@ -68,7 +76,7 @@ class PseudogroupSpec:
         for e in self.infinitesimal:
             _check_kinds(ctx, e, ("source", "vf"), "infinitesimal equation")
 
-    @property
+    @cached_property
     def effective_order(self) -> int:
         """Largest jet order actually appearing, at least base_order.
 
@@ -82,6 +90,28 @@ class PseudogroupSpec:
         for e in self.infinitesimal:
             n = max(n, ctx.max_order(e, "vf"))
         return n
+
+    @cached_property
+    def linear_system(self) -> LinearDeterminingSystem:
+        """The declared infinitesimal system, else the linearization of the
+        determining equations (declared_linear_system), built once."""
+        return declared_linear_system(self)
+
+    def determining_closure(self, n: int) -> dict[int, tuple[Expr, ...]]:
+        """The determining equations closed under total derivatives through
+        target order max(n, effective_order) (prolong_determining_system),
+        bucketed by target order, equations free of target jets in bucket
+        0; built once per order."""
+        n = max(n, self.effective_order)
+        closure = self._closures.get(n)
+        if closure is None:
+            ctx = context_for(self.space)
+            buckets: dict[int, list[Expr]] = {}
+            for e in prolong_determining_system(self, n - self.effective_order):
+                buckets.setdefault(max(ctx.max_order(e, "target"), 0), []).append(e)
+            closure = {k: tuple(eqs) for k, eqs in buckets.items()}
+            self._closures[n] = closure
+        return closure
 
 
 # one linear equation sum_J c_J(z) zeta_J: its (zeta vid, c_J) pairs with
@@ -97,12 +127,14 @@ class LinearDeterminingSystem:
     Each equation is also held as a row of (zeta vid, coefficient)
     pairs, extracted while the equations are validated.  Prolonged
     systems are built from rows (:meth:`from_rows`) and materialize
-    their equations only when these are read."""
+    their equations only when these are read.  A system keeps its
+    prolongation to each order (:meth:`prolonged`)."""
 
     space: SpaceSpec
     order: int
     equations: tuple[Expr, ...]
     rows: tuple[Row, ...] = field(init=False, repr=False, compare=False)
+    _prolonged: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "equations", tuple(self.equations))
@@ -121,6 +153,7 @@ class LinearDeterminingSystem:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "_prolonged", {})
         return self
 
     def __getattr__(self, name: str):
@@ -131,6 +164,27 @@ class LinearDeterminingSystem:
         equations = tuple(_row_expr(ctx, row) for row in self.rows)
         object.__setattr__(self, "equations", equations)
         return equations
+
+    def prolonged(self, n: int) -> LinearDeterminingSystem:
+        """The system closed under total derivatives through order
+        max(n, order) (prolong_linear_system), built once per order."""
+        n = max(n, self.order)
+        Lp = self._prolonged.get(n)
+        if Lp is None:
+            Lp = prolong_linear_system(self, n - self.order)
+            self._prolonged[n] = Lp
+        return Lp
+
+    def rows_through(self, n: int) -> list[Row]:
+        """Rows of the prolonged system involving field jets of order at
+        most n: the order-n truncation."""
+        ctx = context_for(self.space)
+        return [row for row in self.prolonged(n).rows if _row_order(ctx, row) <= n]
+
+    def equations_through(self, n: int) -> list[Expr]:
+        """The order-n truncation as equations."""
+        ctx = context_for(self.space)
+        return [e for e in self.prolonged(n).equations if ctx.max_order(e, "vf") <= n]
 
 
 def _row_expr(ctx: JetContext, row: Row) -> Expr:
@@ -352,21 +406,31 @@ def _jet_key(z, n: int) -> tuple:
     return (z.space, z.x, tuple(sorted((key, v) for key, v in z.u.items() if len(key[1]) <= n)))
 
 
+def linear_system_of(ps) -> LinearDeterminingSystem:
+    """The linear system of a FreenessProblem or of a pseudogroup spec
+    (its declared, else linearized, system, built once per spec), or ps
+    itself when it is a linear system."""
+    if isinstance(ps, FreenessProblem):
+        return ps.system
+    if isinstance(ps, PseudogroupSpec):
+        return ps.linear_system
+    return ps
+
+
 @dataclass(frozen=True, eq=False)
 class FreenessProblem:
-    """Everything the freeness computations of one linear system share
-    across points: the validated system, its prolongation to each jet
-    order (built and validated once per order), the fiber basis at each
-    (order, base point) already solved, and the jet points found
-    LOCALLY_FREE.
+    """The point state the freeness computations of one linear system
+    share: the fiber basis at each (order, base point) already solved,
+    the fiber jets vanishing to a lower order, and the jet points found
+    LOCALLY_FREE.  The system and its prolongations belong to the system
+    (and so to its spec), not to the problem.
 
     Fibers depend on the base point z = (x, u) only, so every lift of a
     jet point reuses the fibers of its base.  A problem lives as long as
-    the caller keeps it (one CLI command, one sweep); nothing is cached
-    at module level."""
+    the caller keeps it (one CLI command, one sweep), so point state
+    never outlives it."""
 
     system: LinearDeterminingSystem
-    _prolonged: dict = field(default_factory=dict, init=False, repr=False)
     # (order, base) -> (fiber basis, its nonzero columns)
     _fibers: dict = field(default_factory=dict, init=False, repr=False)
     # (n, order, base) -> nonzero columns of the fiber jets vanishing to order n
@@ -376,38 +440,15 @@ class FreenessProblem:
 
     @classmethod
     def of(cls, ps) -> FreenessProblem:
-        """The problem itself, a problem over a linear system, or over the
-        declared (else linearized) system of a pseudogroup spec."""
+        """The problem itself, else a new problem over the linear system
+        of ps (see linear_system_of)."""
         if isinstance(ps, FreenessProblem):
             return ps
-        if isinstance(ps, LinearDeterminingSystem):
-            return cls(ps)
-        return cls(declared_linear_system(ps))
+        return cls(linear_system_of(ps))
 
     @property
     def space(self) -> SpaceSpec:
         return self.system.space
-
-    def prolonged(self, n: int) -> LinearDeterminingSystem:
-        """The system closed under total derivatives through order
-        max(n, system.order)."""
-        n = max(n, self.system.order)
-        Lp = self._prolonged.get(n)
-        if Lp is None:
-            Lp = prolong_linear_system(self.system, n - self.system.order)
-            self._prolonged[n] = Lp
-        return Lp
-
-    def rows(self, n: int) -> list[Row]:
-        """Rows of the prolonged system involving field jets of order at
-        most n: the order-n truncation."""
-        ctx = context_for(self.space)
-        return [row for row in self.prolonged(n).rows if _row_order(ctx, row) <= n]
-
-    def equations(self, n: int) -> list[Expr]:
-        """The order-n truncation as equations."""
-        ctx = context_for(self.space)
-        return [e for e in self.prolonged(n).equations if ctx.max_order(e, "vf") <= n]
 
     def _solved_fiber(self, n: int, z0: tuple) -> tuple[FiberBasis, tuple[dict, ...]]:
         key = (n, tuple(z0))
@@ -462,17 +503,17 @@ class FreenessProblem:
 def evaluated_rows(
     L, n: int, z0: tuple
 ) -> tuple[list[list[Scalar]], list[tuple[int, MultiIndex, int]]]:
-    """Coefficient matrix of the order-n truncation of L (a linear system
-    or a FreenessProblem) evaluated at z0, with columns over all zeta-jet
-    coordinates of order <= n.  Only the rows' nonzero coefficients are
-    evaluated."""
-    problem = FreenessProblem.of(L)
-    ctx = context_for(problem.space)
+    """Coefficient matrix of the order-n truncation of L (a linear system,
+    a spec or a FreenessProblem: see linear_system_of) evaluated at z0,
+    with columns over all zeta-jet coordinates of order <= n.  Only the
+    rows' nonzero coefficients are evaluated."""
+    system = linear_system_of(L)
+    ctx = context_for(system.space)
     coords = ctx.vf_coords(n)
     column = {vid: i for i, (_, _, vid) in enumerate(coords)}
-    env = {ctx.source_var(a): z0[a] for a in range(problem.space.m)}
+    env = {ctx.source_var(a): z0[a] for a in range(system.space.m)}
     rows = []
-    for entries in problem.rows(n):
+    for entries in system.rows_through(n):
         row = [scalar(0)] * len(coords)
         for vid, ce in entries:
             try:
@@ -504,9 +545,9 @@ def basis_from_rows(
 def fiber_basis(L, n: int, z0: tuple) -> FiberBasis:
     """Exact null-space basis of the evaluated linear system over the
     zeta-jet coordinates of order <= n.  The system is prolonged to
-    order n if needed; equations of higher order are not evaluated.
-    L is a linear system or a FreenessProblem, whose prolongations are
-    reused; the solve itself is always done afresh."""
+    order n if needed (once per system and order); equations of higher
+    order are not evaluated.  L is anything linear_system_of accepts; the
+    solve itself is always done afresh."""
     rows, coords = evaluated_rows(L, n, z0)
     return basis_from_rows(L.space, n, z0, rows, coords)
 
@@ -528,12 +569,12 @@ def fiber_rank(L, n: int, z0: tuple) -> int:
 def jet_satisfies(L, v: VectorFieldJet) -> bool:
     """Exact membership test of a vector-field jet in the solution space of
     the order-truncated system at its base point."""
-    problem = FreenessProblem.of(L)
-    ctx = context_for(problem.space)
-    env = {ctx.source_var(a): v.base[a] for a in range(problem.space.m)}
+    system = linear_system_of(L)
+    ctx = context_for(system.space)
+    env = {ctx.source_var(a): v.base[a] for a in range(system.space.m)}
     for (a, B), val in v.coeffs.items():
         env[ctx.vf_var(a, B)] = val
-    for e in problem.equations(v.order):
+    for e in system.equations_through(v.order):
         try:
             if e.eval(env) != 0:
                 return False
@@ -563,8 +604,8 @@ def validate_consistency(
     import random
 
     rng = random.Random(seed)
-    lin = FreenessProblem(linearize(ds))
-    dec = FreenessProblem(LinearDeterminingSystem(ds.space, ds.effective_order, ds.infinitesimal))
+    lin = linearize(ds)
+    dec = ds.linear_system  # the declared system
     for n in range(ds.base_order, ds.base_order + extra_orders + 1):
         checked = 0
         attempts = 0
@@ -602,11 +643,10 @@ def check_regularity(L, n: int, points: list[tuple]) -> list[int]:
     """Evaluate the system rank at each point; warn when the rank jumps
     between points (the pseudogroup bundle may fail to be a smooth,
     embedded subbundle there).  Returns the rank profile."""
-    problem = FreenessProblem.of(L)
     ranks = []
     for z0 in points:
         try:
-            ranks.append(fiber_rank(problem, n, z0))
+            ranks.append(fiber_rank(L, n, z0))
         except CoefficientSingularity:
             ranks.append(-1)
     good = [r for r in ranks if r >= 0]

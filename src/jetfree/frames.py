@@ -297,7 +297,9 @@ def _solve_frame(
         raise OrderMismatch(f"cross-section has order {cs.order}, frame order is {n}")
     if z.order < n:
         raise OrderMismatch(f"need an order-{n} jet point, got order {z.order}")
-    if ps.determining and n < ps.effective_order:
+    if not ps.determining:
+        raise PreconditionViolation("moving frame needs determining equations")
+    if n < ps.effective_order:
         raise PreconditionViolation("frame order below the determining system's order")
     zn = z.truncate(n)
     system = StagedSystem(ps, n, zn.base, zn.u, cs.pairs)

@@ -417,7 +417,7 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
     env = {ctx.source_var(a): z1.base[a] for a in range(space.m)}
     for (a, B), val in v.coeffs.items():
         env[ctx.vf_var(a, B)] = val
-    for e in problem.equations(n + 1):
+    for e in problem.system.equations_through(n + 1):
         if e.eval(env) != 0:
             raise PreconditionViolation(
                 f"candidate violates the prolonged determining equation {e}"
@@ -453,7 +453,7 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
         w = make(lambda b, C, e=e_slot: v.coeffs[(b, mi_concat(C, e))])
         witnesses.append((f"what_{space.source_names[e_slot]}", w))
 
-    fiber_equations = problem.equations(n)
+    fiber_equations = problem.system.equations_through(n)
     for label, w in witnesses:
         wenv = {ctx.source_var(a): z1.base[a] for a in range(m)}
         for (a, B), val in w.coeffs.items():
@@ -555,6 +555,8 @@ def isotropy_jets_triangular(
     non-identity stabilizing jet is found.  UNDECIDED when a stage is
     not affine in its unknowns or no candidate could be completed.
     """
+    if not ps.determining:
+        raise PreconditionViolation("isotropy needs determining equations")
     space = ps.space
     if z.order < n:
         raise OrderMismatch(f"need an order-{n} jet point, got order {z.order}")

@@ -103,12 +103,13 @@ class StagedSystem:
     before any stage is solved (the top-order stabilizer fixes the
     identity below its one stage) are substituted at the same time,
     before numerators are taken, which keeps a high stage small.  The
-    determining system is prolonged to max(n, its own order) once, and
-    every stage is built on first use and kept."""
+    prolonged determining system is the spec's own, built once per spec
+    and order (PseudogroupSpec.determining_closure), so the spec must
+    have determining equations; every stage is built on first use and
+    kept."""
 
     def __init__(self, ps, n: int, base: tuple, u=None, fixes=(), known=None):
         # prolong imports this module for jet inversion
-        from .detsys import prolong_determining_system
         from .prolong import context_for
 
         ctx = context_for(ps.space)
@@ -121,12 +122,7 @@ class StagedSystem:
             self._env[ctx.sub_var(al, J)] = ctx.const(v)
         for key, v in (known or {}).items():
             self._env[ctx.target_var(*key)] = ctx.const(v)
-        self._raw: dict[int, list[Expr]] = {}
-        if ps.determining:
-            for e in prolong_determining_system(ps, max(0, n - ps.effective_order)):
-                k = max(ctx.max_order(e, "target"), 0)
-                if k <= n:
-                    self._raw.setdefault(k, []).append(e)
+        self._raw = ps.determining_closure(n)
         self._determining: dict[int, list[Expr]] = {}
         self._stages: dict[int, list[Expr]] = {}
 

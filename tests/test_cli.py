@@ -10,8 +10,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import jetfree.cli as cli
 from jetfree.cli import main, point_from_document, point_to_document
-from jetfree.dsl import bundled_spec_names
+from jetfree.dsl import bundled_spec_names, load_bundled_spec
 from jetfree.errors import PreconditionViolation
 from jetfree.jetspace import SpaceSpec
 
@@ -172,6 +173,36 @@ def test_unknown_spec_name_exits_2(capsys, tmp_path):
     doc = _report(out)
     assert doc["verdict"] == "ERROR"
     assert "nosuch" in doc["error"]
+
+
+@pytest.mark.parametrize("case", ["directory", "spec-not-utf8", "point-not-utf8"])
+def test_unreadable_input_exits_2(capsys, tmp_path, case):
+    """A spec that names a directory or is not UTF-8, and a point document
+    that is not UTF-8, exit 2 with a message instead of a traceback."""
+    spec, pt = "e1", _point_file(tmp_path, P_FREE)
+    if case == "directory":
+        spec = str(tmp_path)
+    elif case == "spec-not-utf8":
+        path = tmp_path / "latin1.psg"
+        path.write_bytes(load_bundled_spec("e1").text.replace('"e1"', '"\xe91"').encode("latin-1"))
+        spec = str(path)
+    else:
+        path = tmp_path / "latin1.json"
+        doc = {**P_FREE, "independent": {"x\xe9": "0"}}
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        pt = str(path)
+    what = "point document" if case == "point-not-utf8" else "spec"
+    rc, out, err = _run(capsys, ["freeness", spec, "--order", "1", "--point", pt])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {what}")
+    rc, out, err = _run(capsys, ["freeness", spec, "--order", "1", "--point", pt, "--json"])
+    assert rc == 2 and err == ""
+    doc = _report(out)
+    assert doc["verdict"] == "ERROR" and doc["error"].startswith(f"cannot read {what}")
+    if case != "point-not-utf8":
+        rc, out, err = _run(capsys, ["parse", spec])
+        assert rc == 2 and out == "" and err.startswith("error: cannot read spec")
 
 
 # -- freeness -----------------------------------------------------------------------
@@ -519,6 +550,38 @@ def test_isotropy_undecided_on_nonaffine_stage(capsys, tmp_path):
     assert doc["witness"] is None
 
 
+E1_WITHOUT_DETERMINING = (
+    'pseudogroup "e1" {\n'
+    "  space {\n    independent: x;\n    dependent: u;\n  }\n"
+    "  base_order: 1;\n"
+    "  infinitesimal {\n    zeta{u} = 0;\n    zeta{x}.u = 0;\n  }\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("command", ["isotropy", "frame"])
+def test_staged_solves_need_determining_equations(capsys, tmp_path, command):
+    """Without a determining block the staged solve has no pseudogroup
+    equations to impose: isotropy used to report a witness outside the
+    pseudogroup (U.u = -1 for e1's infinitesimal system alone), and frame
+    a float fallback that did not converge."""
+    spec = tmp_path / "e1_infinitesimal.psg"
+    spec.write_text(E1_WITHOUT_DETERMINING, encoding="utf-8")
+    pt = _point_file(tmp_path, {**P_FREE, "independent": {"x": "1"}, "dependent": {"u": "1"}})
+    argv = [command, str(spec), "--order", "1", "--point", pt, "--json"]
+    if command == "frame":
+        argv += ["--cross-section", CS_X_UX]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 2
+    doc = _report(out)
+    assert doc["verdict"] == "ERROR"
+    assert "needs determining equations" in doc["error"]
+    # e1 itself, with its determining block, decides the same point
+    rc, out, _ = _run(capsys, [command, "e1"] + argv[2:])
+    assert rc == 0
+    assert _report(out)["verdict"] == ("TRIVIAL" if command == "isotropy" else "NORMALIZED")
+
+
 @pytest.mark.parametrize("argv", [
     ["isotropy", "e1", "--order", "-2"],
     ["frame", "e1", "--order", "-1", "--cross-section", '{"fix":{}}'],
@@ -574,3 +637,101 @@ def test_json_error_documents_go_to_stdout(capsys, tmp_path):
     assert err == ""
     doc = _report(out)
     assert doc["verdict"] == "ERROR" and doc["error"]
+
+
+# -- parsed specs shared within a process --------------------------------------------
+
+
+P2_SPEC = Path(__file__).parent / "specs" / "p2.psg"
+P2_FREE = {"order": 1, "independent": {"x": "1", "y": "-2"}, "dependent": {"u": "1/2"},
+           "jets": {"u.x": "2", "u.y": "-1"}}
+P_E2 = {"order": 2, "independent": {"x": "3"}, "dependent": {"u": "-1"},
+        "jets": {"u.x": "1/2", "u.xx": "2"}}
+
+
+def _interleaved(tmp_path):
+    """freeness, persistence, isotropy and frame commands, interleaved
+    across e1-e3 and p2, at free and non-free points."""
+    free, flat = _point_file(tmp_path, P_FREE), _point_file(tmp_path, P_FLAT, "flat.json")
+    e2, p2 = _point_file(tmp_path, P_E2, "e2.json"), _point_file(tmp_path, P2_FREE, "p2.json")
+    sweep = ["--through", "3", "--samples", "2", "--seed", "4"]
+    return [
+        ["freeness", "e1", "--order", "1", "--point", free],
+        ["persistence", "e2", "--order", "2", "--point", e2] + sweep,
+        ["isotropy", "e3", "--order", "1", "--point", free],
+        ["frame", str(P2_SPEC), "--order", "1", "--point", p2,
+         "--cross-section", '{"fix": {"x": "0", "y": "0", "u": "0"}}', "--invariants"],
+        ["freeness", "e1", "--order", "1", "--point", flat],
+        ["persistence", str(P2_SPEC), "--order", "1", "--point", p2] + sweep,
+        ["frame", "e1", "--order", "1", "--point", free, "--cross-section", CS_X_UX, "--invariants"],
+        ["isotropy", "e1", "--order", "1", "--point", flat],
+        ["freeness", "e3", "--order", "1", "--point", flat],
+        ["persistence", "e1", "--order", "1", "--point", free] + sweep,
+        ["isotropy", "e2", "--order", "2", "--point", e2],
+        ["freeness", str(P2_SPEC), "--order", "1", "--point", p2],
+        ["frame", "e2", "--order", "2", "--point", e2,
+         "--cross-section", '{"fix": {"x": "0", "u.x": "1", "u.xx": "0"}}'],
+        ["persistence", "e3", "--order", "1", "--point", free] + sweep,
+        ["isotropy", str(P2_SPEC), "--order", "1", "--point", p2],
+        ["freeness", "e2", "--order", "2", "--point", e2],
+    ]
+
+
+def test_shared_specs_give_the_reports_of_cleared_caches(capsys, tmp_path):
+    """Commands interleaved across specs in one process report byte for
+    byte what the same commands report with the spec cache cleared before
+    each one."""
+    commands = _interleaved(tmp_path)
+    cleared = []
+    for argv in commands:
+        cli._parsed.cache_clear()
+        cleared.append(_run(capsys, argv + ["--json"]))
+    cli._parsed.cache_clear()
+    shared = [_run(capsys, argv + ["--json"]) for argv in commands]
+    assert cli._parsed.cache_info().hits == len(commands) - 4
+    assert shared == cleared
+    verdicts = {json.loads(out)["verdict"] for _, out, _ in shared}
+    assert {"LOCALLY_FREE", "NOT_LOCALLY_FREE", "PERSISTS", "TRIVIAL", "NONTRIVIAL", "NORMALIZED"} <= verdicts
+
+
+def test_shared_specs_keep_no_point_state(capsys, tmp_path):
+    """A cached spec keeps only work keyed by jet order: its closures and
+    its system's prolongations."""
+    cli._parsed.cache_clear()
+    for argv in _interleaved(tmp_path):
+        _run(capsys, argv + ["--json"])
+    for spec, _ in (cli._parsed(load_bundled_spec(name).text) for name in ("e1", "e2", "e3")):
+        assert spec._closures and all(isinstance(k, int) for k in spec._closures)
+        prolonged = spec.linear_system._prolonged
+        assert prolonged and all(isinstance(k, int) for k in prolonged)
+        assert all(not L._prolonged for L in prolonged.values())
+
+
+def test_edited_spec_file_takes_effect(capsys, tmp_path):
+    path = tmp_path / "edited.psg"
+    pt = _point_file(tmp_path, P_FREE)
+    argv = ["freeness", str(path), "--order", "1", "--point", pt, "--json"]
+    path.write_text(load_bundled_spec("e1").text, encoding="utf-8")
+    rc, out, _ = _run(capsys, argv)
+    before = _report(out)
+    assert rc == 0 and (before["pseudogroup"], before["verdict"]) == ("e1", "LOCALLY_FREE")
+    # drop zeta{x}.u = 0: the fiber grows and the point is no longer free
+    path.write_text(E1_WITHOUT_DETERMINING.replace('"e1"', '"edited"')
+                    .replace("    zeta{x}.u = 0;\n", ""), encoding="utf-8")
+    rc, out, _ = _run(capsys, argv)
+    after = _report(out)
+    assert rc == 1
+    assert after["pseudogroup"] == "edited"
+    assert after["verdict"] == "NOT_LOCALLY_FREE"
+
+
+def test_spec_cache_is_bounded(capsys, tmp_path):
+    cli._parsed.cache_clear()
+    pt = _point_file(tmp_path, P_FREE)
+    text = load_bundled_spec("e1").text
+    for i in range(cli.SPEC_CACHE_SIZE + 3):
+        path = tmp_path / f"spec{i}.psg"
+        path.write_text(text.replace('"e1"', f'"copy{i}"'), encoding="utf-8")
+        rc, out, _ = _run(capsys, ["freeness", str(path), "--order", "1", "--point", pt, "--json"])
+        assert rc == 0 and _report(out)["pseudogroup"] == f"copy{i}"
+        assert cli._parsed.cache_info().currsize == min(i + 1, cli.SPEC_CACHE_SIZE)

@@ -16,7 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from jetfree.detsys import FreenessProblem, declared_linear_system, fiber_basis
+from jetfree.detsys import (
+    FreenessProblem,
+    declared_linear_system,
+    fiber_basis,
+    prolong_determining_system,
+    prolong_linear_system,
+)
 from jetfree.dsl import SpecSource, load_bundled_spec, parse_spec
 import jetfree.freeness as freeness
 from jetfree.freeness import (
@@ -37,6 +43,7 @@ P2 = Path(__file__).parent / "specs" / "p2.psg"
 
 
 def _spec(name):
+    """A freshly parsed spec: nothing of it is shared with earlier calls."""
     src = SpecSource.from_file(P2) if name == "p2" else load_bundled_spec(name)
     spec, diags = parse_spec(src)
     assert spec is not None and not diags, name
@@ -143,9 +150,12 @@ def test_problem_prolongs_each_order_once():
     spec = _spec("e1")
     problem = FreenessProblem.of(spec)
     assert FreenessProblem.of(problem) is problem
-    assert problem.prolonged(3) is problem.prolonged(3)
-    assert problem.prolonged(0) is problem.prolonged(problem.system.order)
-    assert FreenessProblem.of(problem.system).system is problem.system
+    system = problem.system
+    assert system.prolonged(3) is system.prolonged(3)
+    assert system.prolonged(0) is system.prolonged(system.order)
+    assert FreenessProblem.of(system).system is system
+    # the spec owns its system, so every problem of the spec shares it
+    assert FreenessProblem.of(spec).system is system
 
 
 @pytest.mark.parametrize("name,low,high", CASES)
@@ -229,3 +239,80 @@ def test_sweep_calls_local_freeness_once_per_point(monkeypatch, name, low):
     assert rep.verdict == PERSISTS
     assert len(calls) == 1 + rep.lifts_checked + rep.skipped
     assert calls[0] == low and sorted(calls[1:]) == calls[1:]
+
+
+# -- work shared through one spec --------------------------------------------------------
+
+
+def _fresh_fiber(system, n, z0):
+    """Fiber basis coefficients at z0 from the equations of a freshly
+    prolonged system, each coefficient taken by differentiation."""
+    ctx = context_for(system.space)
+    coords = ctx.vf_coords(n)
+    env = {ctx.source_var(a): z0[a] for a in range(system.space.m)}
+    matrix = [[e.diff(vid).eval(env) for _, _, vid in coords] for e in system.equations]
+    return [
+        {(a, B): vec[i] for i, (a, B, _) in enumerate(coords)}
+        for vec in nullspace(matrix, len(coords))
+    ]
+
+
+SHARED_CASES = [("e1", 1, 5), ("e2", 2, 5), ("e3", 1, 5), ("p2", 1, 4)]
+
+
+@pytest.mark.parametrize("name,low,high", SHARED_CASES)
+def test_shared_spec_work_matches_a_fresh_build(name, low, high):
+    """Rows, equations, fibers and verdicts taken from one spec, shared by
+    every order and point, equal a parse -> declared_linear_system ->
+    prolong_linear_system build made afresh for each; its determining
+    closures equal a fresh prolong_determining_system."""
+    shared = _spec(name)
+    rng = random.Random(f"shared:{name}")
+    points = [_point(name, shared.space, high, rng, free) for free in (True, True, False)]
+    for n in range(low, high + 1):
+        L = declared_linear_system(_spec(name))
+        fresh = prolong_linear_system(L, n - L.order)
+        system = shared.linear_system
+        assert system.prolonged(n).rows == fresh.rows
+        assert system.rows_through(n) == list(fresh.rows)
+        assert system.equations_through(n) == list(fresh.equations)
+        closure = prolong_determining_system(_spec(name), n - shared.effective_order)
+        ctx = context_for(shared.space)
+        for k, eqs in shared.determining_closure(n).items():
+            assert list(eqs) == [e for e in closure if max(ctx.max_order(e, "target"), 0) == k]
+        assert sum(map(len, shared.determining_closure(n).values())) == len(closure)
+        for z in points:
+            zn = z.truncate(n)
+            problem = FreenessProblem.of(shared)
+            assert [v.coeffs for v in problem.fiber(n, zn.base).elements] == _fresh_fiber(fresh, n, zn.base)
+            a = local_freeness(shared, n, zn)
+            b = local_freeness(declared_linear_system(_spec(name)), n, zn)
+            assert (a.verdict, a.fiber_dimension, a.orbit_dimension) == (b.verdict, b.fiber_dimension, b.orbit_dimension)
+            assert [w.coeffs for w in a.kernel_basis] == [w.coeffs for w in b.kernel_basis]
+    assert FreenessProblem.of(shared).system is shared.linear_system
+    samples = 1 if name == "p2" else 2
+    for seed, z in enumerate(points[:2]):
+        zl = z.truncate(low)
+        a = persistence_sweep(shared, low, zl, high, samples, seed, bound=6)
+        b = persistence_sweep(declared_linear_system(_spec(name)), low, zl, high, samples, seed, bound=6)
+        assert (a.verdict, a.lifts_checked, a.skipped) == (b.verdict, b.lifts_checked, b.skipped)
+        assert a.verdict == PERSISTS
+
+
+def test_problems_of_one_spec_share_no_point_state():
+    """Problems of one spec share its system and prolongations, but each
+    keeps its own fibers, vanishing fibers and free records."""
+    spec = _spec("e1")
+    rng = random.Random("isolation")
+    z = _point("e1", spec.space, 1, rng, free=True)
+    lift = lift_jet_point(z, 1, rng, 6)
+    a, b = FreenessProblem.of(spec), FreenessProblem.of(spec)
+    assert a is not b and a.system is b.system
+    assert local_freeness(a, 1, z).is_free
+    assert local_freeness(a, 2, lift).is_free
+    assert a.free_truncation(lift, 2) == 1 and a._vanishing
+    assert b.free_truncation(lift, 2) is None
+    assert not (b._fibers or b._vanishing or b._free)
+    assert local_freeness(b, 1, z).is_free
+    assert b.fiber(1, z.base) is not a.fiber(1, z.base)
+    assert b.fiber(1, z.base).elements == a.fiber(1, z.base).elements
