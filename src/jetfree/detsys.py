@@ -18,6 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from .errors import (
     CoefficientSingularity,
@@ -421,9 +422,11 @@ def linear_system_of(ps) -> LinearDeterminingSystem:
 class FreenessProblem:
     """The point state the freeness computations of one linear system
     share: the fiber basis at each (order, base point) already solved,
-    the fiber jets vanishing to a lower order, and the jet points found
-    LOCALLY_FREE.  The system and its prolongations belong to the system
-    (and so to its spec), not to the problem.
+    the fiber jets vanishing to a lower order, the jet points found
+    LOCALLY_FREE, the steps of each lift, and the verdicts of the
+    one-step lift blocks already ranked (see freeness._lift_verdict).
+    The system and its prolongations belong to the system (and so to its
+    spec), not to the problem.
 
     Fibers depend on the base point z = (x, u) only, so every lift of a
     jet point reuses the fibers of its base.  A problem lives as long as
@@ -437,6 +440,12 @@ class FreenessProblem:
     _vanishing: dict = field(default_factory=dict, init=False, repr=False)
     # order -> keys of the points recorded LOCALLY_FREE at that order
     _free: dict = field(default_factory=dict, init=False, repr=False)
+    # (k, n, base) -> (j, K_j) of each step of a lift from order k to n
+    # whose K_j is nonzero
+    _lift_steps: dict = field(default_factory=dict, init=False, repr=False)
+    # (j, base, values of the step-j block's variables) -> whether the
+    # block is injective on K_j
+    _steps: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, ps) -> FreenessProblem:
@@ -483,6 +492,28 @@ class FreenessProblem:
                 K = tuple(combine_columns(columns, vec) for vec in nullspace(rows, len(columns)))
             self._vanishing[key] = K
         return K
+
+    def lift_steps(self, k: int, n: int, z0: tuple) -> tuple:
+        """The steps j = k+1..n of a lift from order k to order n at z0
+        that have something to decide: (j, K_j) for each nonzero K_j, the
+        order-j fiber jets vanishing to order j-1 (vanishing_columns).
+        Built on first use."""
+        key = (k, n, tuple(z0))
+        steps = self._lift_steps.get(key)
+        if steps is None:
+            steps = tuple(
+                (j, K) for j in range(k + 1, n + 1) if (K := self.vanishing_columns(j - 1, j, z0))
+            )
+            self._lift_steps[key] = steps
+        return steps
+
+    def step_verdict(self, key: tuple, decide: Callable[[], bool]) -> bool:
+        """The one-step lift verdict kept under key, from decide() on first
+        use.  key must hold every input of the step's block."""
+        verdict = self._steps.get(key)
+        if verdict is None:
+            verdict = self._steps[key] = decide()
+        return verdict
 
     def record_free(self, z) -> None:
         """Record the jet point z as LOCALLY_FREE at its own order."""

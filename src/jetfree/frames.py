@@ -257,7 +257,7 @@ def _newton_frame(
     for _ in range(_NEWTON_MAX_ITER):
         env = dict(zip(vids, x))
         try:
-            fvals = [float(e.eval(env)) for e in eqs]
+            fvals = [e.eval_float(env) for e in eqs]
         except (ZeroDivisionError, DivisionByZero, OverflowError):
             return None
         if max(abs(v) for v in fvals) <= _NEWTON_TOLERANCE:
@@ -266,7 +266,7 @@ def _newton_frame(
             except SingularJet:
                 return None
         try:
-            jvals = [[float(e.eval(env)) for e in row] for row in jac]
+            jvals = [[e.eval_float(env) for e in row] for row in jac]
         except (ZeroDivisionError, DivisionByZero, OverflowError):
             return None
         cols = len(vids)

@@ -154,30 +154,42 @@ def prolongation_matrix(ps, n: int, z: SubmanifoldJetPoint) -> ProlongationMatri
 
 
 def _lift_verdict(problem: FreenessProblem, n: int, z: SubmanifoldJetPoint) -> FreenessVerdict | None:
-    """LOCALLY_FREE at z^(n), decided on the block of order above k, when
-    the problem recorded a truncation z^(k), k < n, as free; None when
-    there is no such record or the block has a kernel.
+    """LOCALLY_FREE at z^(n), decided one order at a time, when the
+    problem recorded a truncation z^(k), k < n, as free; None when there
+    is no such record or some step's block has a kernel.
 
-    The rows of order <= k of the restricted matrix involve only z^(k)
-    and the field jets of order <= k, so they are the same at every lift
-    of z^(k), and injective on the order-k fiber because z^(k) is free.
-    A kernel vector at z^(n) therefore lies in K, the fiber jets
-    vanishing to order k, and on K the rows of order <= k vanish: z^(n)
-    is free exactly when the rows of order k+1..n, evaluated at z^(n),
-    have trivial kernel on K."""
+    Step j lifts freeness from z^(j-1) to z^(j).  The rows of order
+    <= j-1 of the restricted matrix involve only z^(j-1) and the field
+    jets of order <= j-1, so they are injective on the order-(j-1) fiber
+    when z^(j-1) is free.  A kernel vector at z^(j) therefore lies in
+    K_j, the order-j fiber jets vanishing to order j-1, on which those
+    rows vanish: z^(j) is free exactly when the rows of order j,
+    evaluated at z^(j), have trivial kernel on K_j.  Steps k+1..n in turn
+    show z^(n) free by induction.
+
+    Each step's block reads only the variables of its plan's degree, and
+    K_j only the base point, so the step's verdict is kept on the problem
+    under (j, base, the values of those variables) and ranked once."""
     if z.order < n:
         return None  # the full path raises OrderMismatch
     k = problem.free_truncation(z, n)
     if k is None:
         return None
     zn = z.truncate(n)
-    K = problem.vanishing_columns(k, n, zn.base)
-    if K:
+    base = zn.base
+    steps = problem.lift_steps(k, n, base)
+    if steps:
         ctx = context_for(problem.space)
-        lines = ctx.phihat_plan(n, above=k).evaluate(_point_env(ctx, zn))
-        if rank(_products(lines, K)) < len(K):
-            return None
-    fdim = problem.fiber(n, zn.base).dimension
+        env = _point_env(ctx, zn)
+        for j, K in steps:
+            plan = ctx.phihat_plan(j, above=j - 1)
+            key = (j, base, tuple(env[vid] for vid, _ in plan.degree))
+            injective = problem.step_verdict(
+                key, lambda: rank(_products(plan.evaluate(env), K)) == len(K)
+            )
+            if not injective:
+                return None
+    fdim = problem.fiber(n, base).dimension
     return FreenessVerdict(n, zn, fdim, 0, [], fdim, LOCALLY_FREE)
 
 
@@ -186,10 +198,10 @@ def local_freeness(ps, n: int, z: SubmanifoldJetPoint) -> FreenessVerdict:
     kernel on the fiber.
 
     Pass one FreenessProblem to reuse its work: every LOCALLY_FREE point
-    is recorded on it, and a lift of a recorded point is decided on the
-    top-order block alone (_lift_verdict).  A block with a kernel falls
-    back to the full matrix, so the kernel basis is always the full
-    path's."""
+    is recorded on it, and a lift of a recorded point is decided order by
+    order on one-step blocks, each ranked once per problem (_lift_verdict).
+    A step with a kernel falls back to the full matrix, so the kernel
+    basis is always the full path's."""
     problem = FreenessProblem.of(ps)
     verdict = _lift_verdict(problem, n, z)
     if verdict is None:

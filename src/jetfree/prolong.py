@@ -376,8 +376,10 @@ def act_on_jet(g: DiffeoJet, z: SubmanifoldJetPoint) -> SubmanifoldJetPoint:
     env = _point_env(ctx, z)
     for key, val in g.coeffs.items():
         env[ctx.target_var(*key)] = val
+    # a float jet is evaluated in float arithmetic, in a fixed term order
+    evaluate = Expr.eval if g.is_exact() else Expr.eval_float
     if n >= 1:
-        jac = [[e.eval(env) for e in row] for row in ctx.total_jacobian()]
+        jac = [[evaluate(e, env) for e in row] for row in ctx.total_jacobian()]
         if det(jac) == 0:
             raise SingularTotalJacobian("total Jacobian degenerates; jet leaves the chart")
     newx = tuple(g.coeffs[(i, ())] for i in range(p))
@@ -388,7 +390,7 @@ def act_on_jet(g: DiffeoJet, z: SubmanifoldJetPoint) -> SubmanifoldJetPoint:
         for al in range(q):
             for J in mi_enumerate(p, k):
                 try:
-                    newu[(al, J)] = ctx.uhat(al, J).eval(env)
+                    newu[(al, J)] = evaluate(ctx.uhat(al, J), env)
                 except (DivisionByZero, ZeroDivisionError) as exc:
                     raise SingularTotalJacobian(
                         "total Jacobian degenerates; jet leaves the chart"

@@ -297,9 +297,12 @@ def poly_eval(a: Poly, point: Mapping[int, Fraction]) -> Fraction:
 
 
 def poly_eval_float(a: Poly, point: Mapping[int, float]) -> float:
+    """a at the point in float arithmetic, summed in sorted monomial
+    order: canonically equal polynomials give the same bits, however
+    their dicts were built."""
     total = 0.0
-    for m, c in a.items():
-        term = float(c)
+    for m in sorted(a):
+        term = float(a[m])
         for v, e in m:
             term *= point[v] ** e
         total += term

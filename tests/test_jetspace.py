@@ -359,6 +359,20 @@ def test_phihat_plan_rows_respect_the_order_filtration(make_ctx, top):
                         assert len(info[2]) <= k, (row, ctx.reg.name(vid))
 
 
+@pytest.mark.parametrize("make_ctx,top", [(_ctx_pq11, 5), (_ctx_pq21, 4)])
+def test_one_step_block_reads_only_first_order_jets(make_ctx, top):
+    """The block a lift step j ranks, rows and field jets of order j,
+    reads x, u and the first-order jets only, at every j: one rank per
+    order decides the step at every lift with the same first-order jet."""
+    ctx = make_ctx()
+    for j in range(1, top + 1):
+        for vid, _ in ctx.phihat_plan(j, above=j - 1).degree:
+            info = ctx.info(vid)
+            assert info[0] in ("source", "sub"), (j, info)
+            if info[0] == "sub":
+                assert len(info[2]) <= 1, (j, ctx.reg.name(vid))
+
+
 @pytest.mark.parametrize("make_ctx,top", [(_ctx_pq11, 4), (_ctx_pq21, 3)])
 def test_phihat_plan_block_above_an_order(make_ctx, top):
     """phihat_plan(n, above=k) evaluates to the full plan's rows of order

@@ -4,8 +4,8 @@ The oracle rebuilds everything for each point: a fresh fiber basis from
 the declared system and the dense prolong_at_point matrix times that
 basis.  Verdicts, fiber dimensions, restricted matrices and kernel bases
 computed through one reused FreenessProblem must agree with it exactly,
-including the verdicts the problem decides on the top-order block at
-lifts of points it recorded as free.
+including the verdicts the problem decides order by order on one-step
+blocks at lifts of points it recorded as free.
 """
 
 from __future__ import annotations
@@ -160,18 +160,25 @@ def test_problem_prolongs_each_order_once():
 
 @pytest.mark.parametrize("name,low,high", CASES)
 def test_block_lift_verdicts_match_full_recomputation(name, low, high):
-    """Lifts of a recorded free point are decided on the block of order
-    above the base order, with no fallback, and agree with the oracle."""
+    """Lifts of a recorded free point are decided order by order on the
+    one-step blocks, with no fallback, and agree with the oracle; each
+    step is ranked once per base point, however many lifts reach it.
+    The lifts go three orders up, past the other tests' top order high."""
     spec = _spec(name)
     rng = random.Random(f"block:{name}")
     problem = FreenessProblem.of(spec)
-    for _ in range(3):
+    top = low + 3
+    assert top > high
+    points = 3
+    for _ in range(points):
         z = _point(name, spec.space, low, rng, free=True)
         assert local_freeness(problem, low, z).is_free
-        for order in range(low + 1, high + 1):
+        for order in range(low + 1, top + 1):
             # e2's fiber dimension does not grow with the order: K is {0}
-            K = problem.vanishing_columns(low, order, z.base)
+            K = problem.vanishing_columns(order - 1, order, z.base)
             assert (len(K) == 0) == (name == "e2")
+            steps = problem.lift_steps(low, order, z.base)
+            assert [j for j, _ in steps] == ([] if name == "e2" else list(range(low + 1, order + 1)))
             for _ in range(2):
                 lift = lift_jet_point(z, order - low, rng, 6)
                 block = _lift_verdict(problem, order, lift)
@@ -183,6 +190,32 @@ def test_block_lift_verdicts_match_full_recomputation(name, low, high):
                 assert block.kernel_basis == []
                 assert block.point == lift.truncate(order)
                 assert local_freeness(problem, order, lift) == block
+    assert len(problem._steps) == (0 if name == "e2" else points * (top - low))
+
+
+@pytest.mark.parametrize("name", ["e1", "p2"])
+def test_step_verdicts_are_keyed_on_the_first_order_jets(name):
+    """A kept step verdict is reused only at the same first-order jet: a
+    point with the base of a free point but u.x = 0 (u.x = u.y = 0 on p2),
+    recorded free by hand, gets the full path's kernel at its lifts."""
+    spec = _spec(name)
+    rng = random.Random(f"memo:{name}")
+    problem = FreenessProblem.of(spec)
+    z = _point(name, spec.space, 1, rng, free=True)
+    assert local_freeness(problem, 1, z).is_free
+    for order in (2, 3, 4):
+        lift = lift_jet_point(z, order - 1, rng, 6)
+        assert _assert_agrees(spec, problem, order, lift).is_free
+    assert problem._steps
+    zero = {key: (Fraction(0) if len(key[1]) == 1 else v) for key, v in z.u.items()}
+    bad = SubmanifoldJetPoint(spec.space, 1, z.x, zero)
+    assert bad.base == z.base
+    assert not local_freeness(problem, 1, bad).is_free
+    problem.record_free(bad)
+    for order in (2, 3, 4):
+        lift = lift_jet_point(bad, order - 1, rng, 6)
+        assert _lift_verdict(problem, order, lift) is None
+        assert _assert_agrees(spec, problem, order, lift).verdict == NOT_LOCALLY_FREE
 
 
 @pytest.mark.parametrize("name,low", [("e1", 1), ("e3", 1), ("p2", 1)])
@@ -299,20 +332,33 @@ def test_shared_spec_work_matches_a_fresh_build(name, low, high):
         assert a.verdict == PERSISTS
 
 
+def _state_shape(obj):
+    """Each attribute of obj: the keys of a dict, else the object itself."""
+    return {name: (frozenset(v) if isinstance(v, dict) else id(v)) for name, v in vars(obj).items()}
+
+
 def test_problems_of_one_spec_share_no_point_state():
     """Problems of one spec share its system and prolongations, but each
-    keeps its own fibers, vanishing fibers and free records."""
+    keeps its own fibers, vanishing fibers, free records, lift steps and
+    step verdicts; deciding a new point adds nothing to the spec or
+    system."""
     spec = _spec("e1")
     rng = random.Random("isolation")
     z = _point("e1", spec.space, 1, rng, free=True)
-    lift = lift_jet_point(z, 1, rng, 6)
+    lift = lift_jet_point(z, 2, rng, 6)
     a, b = FreenessProblem.of(spec), FreenessProblem.of(spec)
     assert a is not b and a.system is b.system
     assert local_freeness(a, 1, z).is_free
-    assert local_freeness(a, 2, lift).is_free
-    assert a.free_truncation(lift, 2) == 1 and a._vanishing
-    assert b.free_truncation(lift, 2) is None
-    assert not (b._fibers or b._vanishing or b._free)
+    assert local_freeness(a, 3, lift).is_free
+    assert a.free_truncation(lift, 3) == 1 and a._vanishing and a._steps
+    assert b.free_truncation(lift, 3) is None
+    assert not (b._fibers or b._vanishing or b._free or b._lift_steps or b._steps)
+    shapes = (_state_shape(spec), _state_shape(spec.linear_system))
     assert local_freeness(b, 1, z).is_free
     assert b.fiber(1, z.base) is not a.fiber(1, z.base)
     assert b.fiber(1, z.base).elements == a.fiber(1, z.base).elements
+    other = _point("e1", spec.space, 1, rng, free=True)
+    assert local_freeness(b, 1, other).is_free
+    assert local_freeness(b, 3, lift_jet_point(other, 2, rng, 6)).is_free
+    assert b._steps and not (b._steps.keys() & a._steps.keys())
+    assert (_state_shape(spec), _state_shape(spec.linear_system)) == shapes

@@ -134,6 +134,20 @@ def test_eval_float_matches_exact():
     assert abs(exact - approx) < 1e-12
 
 
+def test_eval_float_ignores_how_the_expression_was_built():
+    """Canonically equal expressions built in different operation orders
+    hold their terms in different dict orders; float evaluation must give
+    the same bits for both.  Summed in dict order, x + w + u and
+    u + x + w differ at x = 1e16, u = 1, w = -1e16."""
+    reg, v = _ctx()
+    x, u, w = (_var(reg, v, name) for name in ("x", "u", "w"))
+    a = (x + w + u) / (u * u + x)
+    b = (u + (x + w)) / (x + u * u)
+    assert a == b and list(a.num) != list(b.num)
+    pt = {v["x"]: 1e16, v["u"]: 1.0, v["w"]: -1e16}
+    assert a.eval_float(pt).hex() == b.eval_float(pt).hex()
+
+
 def test_subst_partial_leaves_others_formal():
     reg, v = _ctx()
     x = _var(reg, v, "x")
