@@ -31,7 +31,7 @@ from .freeness import (
     local_freeness,
     persistence_sweep,
 )
-from .jetspace import mi_enumerate
+from .jetspace import jet_keys
 from .prolong import DiffeoJet, SubmanifoldJetPoint, VectorFieldJet, context_for
 
 # -- document serialization ---------------------------------------------------------
@@ -61,18 +61,14 @@ def point_to_document(z: SubmanifoldJetPoint) -> dict:
     """PointDocument: order, independent/dependent values, higher jets,
     all rationals as strings."""
     ctx = context_for(z.space)
-    jets = {}
-    for k in range(1, z.order + 1):
-        for al in range(z.space.q):
-            for J in mi_enumerate(z.space.p, k):
-                jets[ctx.sub_name(al, J)] = str(z.u[(al, J)])
+    keys = jet_keys(z.space.q, z.space.p, 1, z.order)
     return {
         "order": z.order,
         "independent": {name: str(v) for name, v in zip(z.space.independent, z.x)},
         "dependent": {
             z.space.dependent[al]: str(z.u[(al, ())]) for al in range(z.space.q)
         },
-        "jets": jets,
+        "jets": {ctx.sub_name(al, J): str(z.u[(al, J)]) for al, J in keys},
     }
 
 
@@ -110,11 +106,7 @@ def point_from_document(space, doc) -> SubmanifoldJetPoint:
     for name in dep:
         if name not in space.dependent:
             raise PreconditionViolation(f"unknown dependent coordinate {name!r}")
-    want = {}
-    for k in range(1, order + 1):
-        for al in range(space.q):
-            for J in mi_enumerate(space.p, k):
-                want[ctx.sub_name(al, J)] = (al, J)
+    want = {ctx.sub_name(al, J): (al, J) for al, J in jet_keys(space.q, space.p, 1, order)}
     for name in jets:
         if name not in want:
             raise PreconditionViolation(
@@ -128,23 +120,13 @@ def point_from_document(space, doc) -> SubmanifoldJetPoint:
 
 
 def jet_to_document(g: DiffeoJet) -> dict:
-    ctx = context_for(g.space)
-    out = {}
-    for k in range(g.order + 1):
-        for a in range(g.space.m):
-            for B in mi_enumerate(g.space.m, k):
-                out[ctx.target_name(a, B)] = str(g.coeffs[(a, B)])
-    return out
+    name, m = context_for(g.space).target_name, g.space.m
+    return {name(a, B): str(g.coeffs[(a, B)]) for a, B in jet_keys(m, m, 0, g.order)}
 
 
 def vf_to_document(v: VectorFieldJet) -> dict:
-    ctx = context_for(v.space)
-    out = {}
-    for k in range(v.order + 1):
-        for a in range(v.space.m):
-            for B in mi_enumerate(v.space.m, k):
-                out[ctx.vf_name(a, B)] = str(v.coeffs[(a, B)])
-    return out
+    name, m = context_for(v.space).vf_name, v.space.m
+    return {name(a, B): str(v.coeffs[(a, B)]) for a, B in jet_keys(m, m, 0, v.order)}
 
 
 def _diag_document(d) -> dict:

@@ -28,7 +28,7 @@ from .errors import (
     RegularityWarning,
     UnboundVariable,
 )
-from .jetspace import JetContext, MultiIndex, SpaceSpec, mi_concat, mi_enumerate
+from .jetspace import JetContext, MultiIndex, SpaceSpec, jet_keys, mi_concat
 from .linalg import nullspace, rank
 from .prolong import VectorFieldJet, context_for
 from .symkernel import Expr, Scalar, scalar
@@ -272,17 +272,10 @@ def linearize(ds: PseudogroupSpec) -> LinearDeterminingSystem:
     t = ctx.expr(tvid)
     sub: dict[int, Expr] = {}
     idsub: dict[int, Expr] = {}
-    for k in range(n + 1):
-        for a in range(m):
-            for B in mi_enumerate(m, k):
-                if k == 0:
-                    base = ctx.expr(ctx.source_var(a))
-                elif k == 1:
-                    base = ctx.const(1 if B == (a,) else 0)
-                else:
-                    base = ctx.const(0)
-                idsub[ctx.target_var(a, B)] = base
-                sub[ctx.target_var(a, B)] = base + t * ctx.expr(ctx.vf_var(a, B))
+    for a, B in jet_keys(m, m, 0, n):
+        base = ctx.const(1 if B == (a,) else 0) if B else ctx.expr(ctx.source_var(a))
+        idsub[ctx.target_var(a, B)] = base
+        sub[ctx.target_var(a, B)] = base + t * ctx.expr(ctx.vf_var(a, B))
     tzero = {tvid: ctx.const(0)}
     eqs = []
     for F in ds.determining:
@@ -403,8 +396,12 @@ def combine_columns(columns: tuple[dict, ...], weights) -> dict:
 
 
 def _jet_key(z, n: int) -> tuple:
-    """Hashable key of the order-n truncation of a submanifold jet point."""
-    return (z.space, z.x, tuple(sorted((key, v) for key, v in z.u.items() if len(key[1]) <= n)))
+    """Hashable key of the order-n truncation of a submanifold jet point:
+    its values in jet-key order."""
+    # tuple() of a generator allocates a larger tuple and shrinks it, and
+    # on release such tuples fill the interpreter's tuple free lists; from
+    # a list, tuple() takes one of the exact size
+    return (z.space, z.x, tuple([z.u[key] for key in jet_keys(z.space.q, z.space.p, 0, n)]))
 
 
 def linear_system_of(ps) -> LinearDeterminingSystem:

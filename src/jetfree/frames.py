@@ -43,7 +43,7 @@ from .errors import (
     UnknownVariable,
 )
 from .freeness import prolongation_matrix
-from .jetspace import MultiIndex, SpaceSpec, mi_enumerate
+from .jetspace import MultiIndex, SpaceSpec, jet_keys
 from .linalg import rank, solve_square
 from .prolong import (
     DiffeoJet,
@@ -54,7 +54,7 @@ from .prolong import (
     jet_compose,
 )
 from .sampling import random_jet_point, sample_group_jet
-from .stagesolve import CoordKey, StagedSystem, solve_stage
+from .stagesolve import CoordKey, StagedSystem
 from .symkernel import Expr, Scalar, scalar
 
 # -- cross-sections ---------------------------------------------------------------
@@ -243,8 +243,7 @@ def _newton_frame(
     normalization residuals) in all jet coefficients at once."""
     ctx = system.ctx
     space = ctx.space
-    m = space.m
-    keys = [(a, B) for k in range(n + 1) for a in range(m) for B in mi_enumerate(m, k)]
+    keys = jet_keys(space.m, space.m, 0, n)
     vids = [ctx.target_var(*key) for key in keys]
     eqs: list[Expr] = []
     for k in range(n + 1):
@@ -303,14 +302,11 @@ def _solve_frame(
         raise PreconditionViolation("frame order below the determining system's order")
     zn = z.truncate(n)
     system = StagedSystem(ps, n, zn.base, zn.u, cs.pairs)
-    ctx = system.ctx
     values: dict[tuple[int, MultiIndex], Scalar] = {}
     failure: Exception | None = None
     for k in range(n + 1):
         try:
-            keys, part, kern = solve_stage(
-                system.stage(k), k, space.m, ctx.target_var, values, ctx.reg
-            )
+            keys, part, kern = system.solve(k, values)
         except NoSolution as exc:
             raise NoSolution(
                 f"normalization equations are inconsistent at order {k}; "
@@ -451,13 +447,6 @@ def _jets_agree(a: DiffeoJet, b: DiffeoJet, tol: float) -> bool:
     return all(abs(float(a.coeffs[k]) - float(b.coeffs[k])) <= tol for k in a.coeffs)
 
 
-def _truncate_jet(g: DiffeoJet, n: int) -> DiffeoJet:
-    if n > g.order:
-        raise OrderMismatch("cannot truncate upward")
-    kept = {key: v for key, v in g.coeffs.items() if len(key[1]) <= n}
-    return DiffeoJet(g.space, n, g.source, kept)
-
-
 @dataclass
 class EquivarianceReport:
     order: int
@@ -548,7 +537,7 @@ def check_compatibility(
             raise DomainMismatch(
                 "projected sample falls outside the lower frame's chart"
             ) from exc
-        if not _jets_agree(_truncate_jet(high, frame_n.order), low, _VERIFY_TOLERANCE):
+        if not _jets_agree(high.truncate(frame_n.order), low, _VERIFY_TOLERANCE):
             violations.append((z, high, low))
         checked += 1
     return CompatibilityReport(

@@ -45,7 +45,7 @@ from .errors import (
     SingularJet,
     SingularTotalJacobian,
 )
-from .jetspace import JetContext, MultiIndex, mi_concat, mi_enumerate
+from .jetspace import JetContext, MultiIndex, jet_keys, mi_concat
 from .linalg import nullspace, rank
 from .prolong import (
     DiffeoJet,
@@ -58,7 +58,7 @@ from .prolong import (
     prolong_at_point,
 )
 from .sampling import lift_jet_point
-from .stagesolve import StagedSystem, solve_stage
+from .stagesolve import StagedSystem
 from .symkernel import Expr, Scalar, scalar
 
 LOCALLY_FREE = "LOCALLY_FREE"
@@ -221,7 +221,9 @@ def isotropy_algebra(ps, n: int, z: SubmanifoldJetPoint) -> FiberBasis:
     """Kernel of the prolonged differential restricted to the fiber jets
     whose order-0 part vanishes (infinitesimal isotropy at the point)."""
     problem = FreenessProblem.of(ps)
-    zn = z.truncate(n) if z.order > n else z
+    if z.order < n:
+        raise OrderMismatch(f"need an order-{n} jet point, got order {z.order}")
+    zn = z.truncate(n)
     ctx = context_for(problem.space)
     vb = vanishing_fiber_basis(problem, n, zn.base)
     if vb.dimension == 0:
@@ -352,15 +354,13 @@ def kernel_equations(n: int, z: SubmanifoldJetPoint) -> list[Expr]:
     ctx = context_for(space)
     ctx.ensure_vf(n + 1)
     out = []
-    for al in range(space.q):
-        q0 = ctx.expr(ctx.vf_var(space.p + al, ()))
+    for al, J in jet_keys(space.q, space.p, n + 1, n + 1):
+        e = ctx.expr(ctx.vf_var(space.p + al, ()))
         for j in range(space.p):
-            q0 = q0 - ctx.const(z.u[(al, (j,))]) * ctx.expr(ctx.vf_var(j, ()))
-        for J in mi_enumerate(space.p, n + 1):
-            e = q0
-            for i in J:
-                e = frozen_total_derivative(e, i, z)
-            out.append(e)
+            e = e - ctx.const(z.u[(al, (j,))]) * ctx.expr(ctx.vf_var(j, ()))
+        for i in J:
+            e = frozen_total_derivative(e, i, z)
+        out.append(e)
     return out
 
 
@@ -444,11 +444,7 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
     witnesses: list[tuple[str, VectorFieldJet]] = []
 
     def make(top) -> VectorFieldJet:
-        coeffs = {}
-        for k in range(n + 1):
-            for b in range(m):
-                for C in mi_enumerate(m, k):
-                    coeffs[(b, C)] = top(b, C) if k == n else scalar(0)
+        coeffs = {(b, C): top(b, C) if len(C) == n else scalar(0) for b, C in jet_keys(m, m, 0, n)}
         return VectorFieldJet(space, n, z1.base, coeffs)
 
     for i in range(p):
@@ -526,17 +522,14 @@ def top_order_stabilizer(ps: PseudogroupSpec, n: int, z: SubmanifoldJetPoint) ->
             "order must reach the determining system's own order"
         )
     z1 = z.truncate(n + 1)
-    ident = identity_jet(ps.space, n + 1, z1.base).coeffs
-    lower = {key: v for key, v in ident.items() if len(key[1]) <= n}
+    ident = identity_jet(ps.space, n + 1, z1.base)
+    lower = ident.truncate(n).coeffs
     system = StagedSystem(ps, n + 1, z1.base, z1.u, _full_cross_section(z1), lower)
-    ctx = system.ctx
     try:
-        tops, part, kern = solve_stage(
-            system.stage(n + 1), n + 1, ps.space.m, ctx.target_var, {}, ctx.reg
-        )
+        tops, part, kern = system.solve(n + 1, {})
     except NoSolution as exc:
         raise PreconditionViolation("identity jet fails the top-order stage") from exc
-    gap = [ident[key] - v for key, v in zip(tops, part)]
+    gap = [ident.coeffs[key] - v for key, v in zip(tops, part)]
     if rank(kern + [gap]) > len(kern):
         raise PreconditionViolation("identity jet fails the top-order stage")
     basis = [dict(zip(tops, vec)) for vec in kern]
@@ -578,15 +571,12 @@ def isotropy_jets_triangular(
     ident = identity_jet(space, n, zn.base).coeffs
     unsolved = (DivisionByZero, NoSolution, PreconditionViolation)
 
-    def solve(k: int, values: dict) -> tuple:
-        return solve_stage(system.stage(k), k, space.m, ctx.target_var, values, ctx.reg)
-
     # main pass: follow the identity while every stage is unique
     stages: list[dict[str, Scalar]] = []
     values: dict[tuple[int, MultiIndex], Scalar] = {}
     for k in range(n + 1):
         try:
-            keys, part, kern = solve(k, values)
+            keys, part, kern = system.solve(k, values)
         except unsolved:
             return IsotropyReport(n, zn, UNDECIDED, None, None)
         idvec = [ident[key] for key in keys]
@@ -616,7 +606,7 @@ def isotropy_jets_triangular(
         full.update(zip(keys, cand))
         try:
             for j in range(k + 1, n + 1):
-                later, later_part, _ = solve(j, full)
+                later, later_part, _ = system.solve(j, full)
                 full.update(zip(later, later_part))
             g = DiffeoJet(space, n, zn.base, full)
             if act_on_jet(g, zn) == zn:

@@ -12,7 +12,11 @@ variable registry holding four families of jet coordinates:
 * vector-field component jets zeta^a_B, named ``zeta{x}.xu``, ...
 
 Multi-indices are stored as nondecreasing tuples of source-slot numbers,
-so the symmetry of mixed partials is structural.  Jet orders are capped:
+so the symmetry of mixed partials is structural.  The jet-key table
+:func:`jet_keys` is the one place that decides the order of jet
+coordinates: order first, then component, then multi-index.  Variable
+registration, the columns of every fiber and null space, the keys a jet
+must hold, and every report read it.  Jet orders are capped:
 ``ensure_*`` registers coordinates up to a requested order (append-only,
 so existing expressions stay valid) and the derivative operators fail
 with :class:`~jetfree.errors.OrderCapExceeded` past the cap.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Mapping
@@ -37,6 +42,8 @@ from .errors import OrderCapExceeded, SingularJacobian, UnboundVariable
 from .symkernel import Expr, Mono, VarRegistry
 
 MultiIndex = tuple[int, ...]
+# (component, multi-index) of one jet coordinate
+JetKey = tuple[int, MultiIndex]
 
 
 def mi_enumerate(symbols: int, order: int) -> list[MultiIndex]:
@@ -45,6 +52,26 @@ def mi_enumerate(symbols: int, order: int) -> list[MultiIndex]:
     if symbols < 1 or order < 0:
         raise ValueError("need symbols >= 1 and order >= 0")
     return list(combinations_with_replacement(range(symbols), order))
+
+
+@cache
+def jet_keys(components: int, slots: int, start: int, n: int) -> tuple[JetKey, ...]:
+    """The keys (component, multi-index over the slots) of the jet
+    coordinates of orders start..n: order first, then component, then
+    multi-index.  Every enumeration of jet coordinates reads this table."""
+    return tuple(
+        (a, B)
+        for k in range(start, n + 1)
+        for a in range(components)
+        for B in mi_enumerate(slots, k)
+    )
+
+
+@cache
+def jet_key_set(components: int, slots: int, n: int) -> frozenset[JetKey]:
+    """The keys of jet_keys(components, slots, 0, n), as a set: the keys a
+    jet of order n must hold."""
+    return frozenset(jet_keys(components, slots, 0, n))
 
 
 def mi_concat(B: MultiIndex, b: int) -> MultiIndex:
@@ -173,31 +200,25 @@ class JetContext:
 
     # -- registration --------------------------------------------------------
 
+    def _register(self, kind: str, store: dict, name, keys) -> None:
+        for a, B in keys:
+            vid = self.reg.register(name(a, B))
+            store[(a, B)] = vid
+            self._info[vid] = (kind, a, B)
+
     def ensure_target(self, n: int) -> None:
-        for k in range(self._target_cap + 1, n + 1):
-            for a in range(self.space.m):
-                for B in mi_enumerate(self.space.m, k):
-                    vid = self.reg.register(self.target_name(a, B))
-                    self._target[(a, B)] = vid
-                    self._info[vid] = ("target", a, B)
+        keys = jet_keys(self.space.m, self.space.m, self._target_cap + 1, n)
+        self._register("target", self._target, self.target_name, keys)
         self._target_cap = max(self._target_cap, n)
 
     def ensure_sub(self, n: int) -> None:
-        for k in range(self._sub_cap + 1, n + 1):
-            for al in range(self.space.q):
-                for J in mi_enumerate(self.space.p, k):
-                    vid = self.reg.register(self.sub_name(al, J))
-                    self._sub[(al, J)] = vid
-                    self._info[vid] = ("sub", al, J)
+        keys = jet_keys(self.space.q, self.space.p, self._sub_cap + 1, n)
+        self._register("sub", self._sub, self.sub_name, keys)
         self._sub_cap = max(self._sub_cap, n)
 
     def ensure_vf(self, n: int) -> None:
-        for k in range(self._vf_cap + 1, n + 1):
-            for a in range(self.space.m):
-                for B in mi_enumerate(self.space.m, k):
-                    vid = self.reg.register(self.vf_name(a, B))
-                    self._vf[(a, B)] = vid
-                    self._info[vid] = ("vf", a, B)
+        keys = jet_keys(self.space.m, self.space.m, self._vf_cap + 1, n)
+        self._register("vf", self._vf, self.vf_name, keys)
         self._vf_cap = max(self._vf_cap, n)
 
     def param_var(self) -> int:
@@ -259,25 +280,17 @@ class JetContext:
     def vf_coords(self, n: int) -> list[tuple[int, MultiIndex, int]]:
         """All (component, multi-index, vid) for zeta jets of order <= n."""
         self.ensure_vf(n)
-        out = []
-        for k in range(n + 1):
-            for a in range(self.space.m):
-                for B in mi_enumerate(self.space.m, k):
-                    out.append((a, B, self._vf[(a, B)]))
-        return out
+        m = self.space.m
+        return [(a, B, self._vf[(a, B)]) for a, B in jet_keys(m, m, 0, n)]
 
     def jn_coords(self, n: int) -> list[tuple]:
         """Coordinates of the submanifold jet space of order n, in row order:
         x^i first, then u^alpha_J by increasing order.  Entries are
         ("x", i, name) or ("u", al, J, name)."""
         self.ensure_sub(n)
-        out: list[tuple] = []
-        for i in range(self.space.p):
-            out.append(("x", i, self.space.independent[i]))
-        for k in range(n + 1):
-            for al in range(self.space.q):
-                for J in mi_enumerate(self.space.p, k):
-                    out.append(("u", al, J, self.sub_name(al, J)))
+        out: list[tuple] = [("x", i, name) for i, name in enumerate(self.space.independent)]
+        for al, J in jet_keys(self.space.q, self.space.p, 0, n):
+            out.append(("u", al, J, self.sub_name(al, J)))
         return out
 
     # -- derivative operators ---------------------------------------------------

@@ -34,10 +34,10 @@ from .errors import (
     SingularTotalJacobian,
     StepFailure,
 )
-from .jetspace import JetContext, MultiIndex, SpaceSpec, mi_concat, mi_enumerate
+from .jetspace import JetContext, MultiIndex, SpaceSpec, jet_key_set, jet_keys, mi_concat
 from .linalg import det
 from .stagesolve import solve_stage
-from .symkernel import Expr, Scalar, VarRegistry, scalar
+from .symkernel import Expr, VarRegistry, scalar
 
 _CTX_CACHE: dict[SpaceSpec, JetContext] = {}
 
@@ -72,8 +72,7 @@ class DiffeoJet:
             raise ValueError("source point has wrong dimension")
         if self.order < 0:
             raise ValueError("order must be nonnegative")
-        want = {(a, B) for k in range(self.order + 1) for a in range(m) for B in mi_enumerate(m, k)}
-        if set(self.coeffs) != want:
+        if self.coeffs.keys() != jet_key_set(m, m, self.order):
             raise ValueError("jet coefficients incomplete or overfull")
         if self.order >= 1:
             block = [[self.coeffs[(a, (b,))] for b in range(m)] for a in range(m)]
@@ -83,6 +82,13 @@ class DiffeoJet:
     @property
     def target(self) -> tuple:
         return tuple(self.coeffs[(a, ())] for a in range(self.space.m))
+
+    def truncate(self, n: int) -> DiffeoJet:
+        if n > self.order:
+            raise OrderMismatch("cannot truncate upward")
+        m = self.space.m
+        kept = {key: self.coeffs[key] for key in jet_keys(m, m, 0, n)}
+        return DiffeoJet(self.space, n, self.source, kept)
 
     def is_exact(self) -> bool:
         return all(_is_exact(v) for v in self.coeffs.values()) and all(
@@ -106,13 +112,7 @@ class SubmanifoldJetPoint:
             raise ValueError("independent values have wrong dimension")
         if self.order < 0:
             raise ValueError("order must be nonnegative")
-        want = {
-            (al, J)
-            for k in range(self.order + 1)
-            for al in range(self.space.q)
-            for J in mi_enumerate(self.space.p, k)
-        }
-        if set(self.u) != want:
+        if self.u.keys() != jet_key_set(self.space.q, self.space.p, self.order):
             raise ValueError("jet coordinates incomplete or overfull")
 
     @property
@@ -123,7 +123,7 @@ class SubmanifoldJetPoint:
     def truncate(self, n: int) -> SubmanifoldJetPoint:
         if n > self.order:
             raise OrderMismatch("cannot truncate upward")
-        kept = {key: v for key, v in self.u.items() if len(key[1]) <= n}
+        kept = {key: self.u[key] for key in jet_keys(self.space.q, self.space.p, 0, n)}
         return SubmanifoldJetPoint(self.space, n, self.x, kept)
 
 
@@ -141,14 +141,14 @@ class VectorFieldJet:
         self.base = tuple(self.base)
         if len(self.base) != m:
             raise ValueError("base point has wrong dimension")
-        want = {(a, B) for k in range(self.order + 1) for a in range(m) for B in mi_enumerate(m, k)}
-        if set(self.coeffs) != want:
+        if self.coeffs.keys() != jet_key_set(m, m, self.order):
             raise ValueError("vector-field jet coefficients incomplete or overfull")
 
-    def truncate(self, n: int) -> "VectorFieldJet":
+    def truncate(self, n: int) -> VectorFieldJet:
         if n > self.order:
             raise OrderMismatch("cannot truncate upward")
-        kept = {key: v for key, v in self.coeffs.items() if len(key[1]) <= n}
+        m = self.space.m
+        kept = {key: self.coeffs[key] for key in jet_keys(m, m, 0, n)}
         return VectorFieldJet(self.space, n, self.base, kept)
 
     def is_zero(self) -> bool:
@@ -190,17 +190,10 @@ class ProlongedVF:
 
 
 def identity_jet(space: SpaceSpec, n: int, at: tuple) -> DiffeoJet:
-    m = space.m
-    coeffs: dict[tuple[int, MultiIndex], object] = {}
-    for k in range(n + 1):
-        for a in range(m):
-            for B in mi_enumerate(m, k):
-                if k == 0:
-                    coeffs[(a, B)] = at[a]
-                elif k == 1:
-                    coeffs[(a, B)] = scalar(1 if B == (a,) else 0)
-                else:
-                    coeffs[(a, B)] = scalar(0)
+    coeffs = {
+        (a, B): scalar(1 if B == (a,) else 0) if B else at[a]
+        for a, B in jet_keys(space.m, space.m, 0, n)
+    }
     return DiffeoJet(space, n, tuple(at), coeffs)
 
 
@@ -218,11 +211,7 @@ def diffeo_jet_from_map(ctx: JetContext, components, n: int, at: tuple) -> Diffe
         raise ValueError("need one component per coordinate of M")
     src = [ctx.source_var(a) for a in range(m)]
     env = {src[a]: at[a] for a in range(m)}
-    coeffs = {}
-    for k in range(n + 1):
-        for a in range(m):
-            for B in mi_enumerate(m, k):
-                coeffs[(a, B)] = _partial(components[a], src, B).eval(env)
+    coeffs = {(a, B): _partial(components[a], src, B).eval(env) for a, B in jet_keys(m, m, 0, n)}
     return DiffeoJet(ctx.space, n, tuple(at), coeffs)
 
 
@@ -233,11 +222,7 @@ def submanifold_jet_from_sections(ctx: JetContext, sections, n: int, at: tuple) 
         raise ValueError("need one section component per dependent coordinate")
     src = [ctx.source_var(i) for i in range(p)]
     env = {src[i]: at[i] for i in range(p)}
-    u = {}
-    for k in range(n + 1):
-        for al in range(q):
-            for J in mi_enumerate(p, k):
-                u[(al, J)] = _partial(sections[al], src, J).eval(env)
+    u = {(al, J): _partial(sections[al], src, J).eval(env) for al, J in jet_keys(q, p, 0, n)}
     return SubmanifoldJetPoint(ctx.space, n, tuple(at), u)
 
 
@@ -254,21 +239,20 @@ class _CompTable:
         self.h: dict[tuple[int, MultiIndex], int] = {}
         self.g: dict[tuple[int, MultiIndex], int] = {}
         self._kind: dict[int, tuple[str, int, MultiIndex]] = {}
+        keys = jet_keys(m, m, 0, n)
         for fam, store in (("h", self.h), ("g", self.g)):
-            for k in range(n + 1):
-                for a in range(m):
-                    for B in mi_enumerate(m, k):
-                        suffix = "_".join(str(b) for b in B)
-                        vid = self.reg.register(f"{fam}{a}.{suffix}")
-                        store[(a, B)] = vid
-                        self._kind[vid] = (fam, a, B)
+            for a, B in keys:
+                suffix = "_".join(str(b) for b in B)
+                vid = self.reg.register(f"{fam}{a}.{suffix}")
+                store[(a, B)] = vid
+                self._kind[vid] = (fam, a, B)
         self.comp: dict[tuple[int, MultiIndex], Expr] = {}
-        for a in range(m):
-            self.comp[(a, ())] = Expr.var(self.reg, self.h[(a, ())])
-        for k in range(1, n + 1):
-            for a in range(m):
-                for B in mi_enumerate(m, k):
-                    self.comp[(a, B)] = self._chain_derivative(self.comp[(a, B[:-1])], B[-1])
+        for a, B in keys:
+            self.comp[(a, B)] = (
+                self._chain_derivative(self.comp[(a, B[:-1])], B[-1])
+                if B
+                else Expr.var(self.reg, self.h[(a, ())])
+            )
 
     def _chain_derivative(self, e: Expr, b: int) -> Expr:
         out = Expr.const(self.reg, 0)
@@ -331,8 +315,7 @@ def jet_invert(g: DiffeoJet) -> DiffeoJet:
         # compose(h, g) = identity at order k
         equations = [
             tab.comp[(a, B)].subst(inner) - Expr.const(reg, 1 if B == (a,) else 0)
-            for a in range(m)
-            for B in mi_enumerate(m, k)
+            for a, B in jet_keys(m, m, k, k)
         ]
         try:
             keys, sol, kern = solve_stage(
@@ -386,15 +369,11 @@ def act_on_jet(g: DiffeoJet, z: SubmanifoldJetPoint) -> SubmanifoldJetPoint:
     newu: dict[tuple[int, MultiIndex], object] = {}
     for al in range(q):
         newu[(al, ())] = g.coeffs[(p + al, ())]
-    for k in range(1, n + 1):
-        for al in range(q):
-            for J in mi_enumerate(p, k):
-                try:
-                    newu[(al, J)] = evaluate(ctx.uhat(al, J), env)
-                except (DivisionByZero, ZeroDivisionError) as exc:
-                    raise SingularTotalJacobian(
-                        "total Jacobian degenerates; jet leaves the chart"
-                    ) from exc
+    for al, J in jet_keys(q, p, 1, n):
+        try:
+            newu[(al, J)] = evaluate(ctx.uhat(al, J), env)
+        except (DivisionByZero, ZeroDivisionError) as exc:
+            raise SingularTotalJacobian("total Jacobian degenerates; jet leaves the chart") from exc
     return SubmanifoldJetPoint(space, n, newx, newu)
 
 
@@ -411,12 +390,10 @@ def lift_vector_field(ctx: JetContext, components, n: int) -> dict[tuple[int, Mu
     ctx.ensure_target(n)
     at_target = {ctx.source_var(a): ctx.expr(ctx.target_var(a, ())) for a in range(m)}
     out: dict[tuple[int, MultiIndex], Expr] = {}
-    for a in range(m):
-        out[(a, ())] = components[a].subst(at_target)
-    for k in range(1, n + 1):
-        for a in range(m):
-            for B in mi_enumerate(m, k):
-                out[(a, B)] = ctx.total_derivative(out[(a, B[:-1])], B[-1])
+    for a, B in jet_keys(m, m, 0, n):
+        out[(a, B)] = (
+            ctx.total_derivative(out[(a, B[:-1])], B[-1]) if B else components[a].subst(at_target)
+        )
     return out
 
 
@@ -449,10 +426,8 @@ def prolong_vector_field(ctx: JetContext, components, n: int) -> ProlongedVF:
     comps: dict[tuple, Expr] = {}
     for i in range(p):
         comps[("x", i)] = components[i]
-    for k in range(n + 1):
-        for al in range(q):
-            for J in mi_enumerate(p, k):
-                comps[("u", al, J)] = ctx.phihat(al, J).subst(submap)
+    for al, J in jet_keys(q, p, 0, n):
+        comps[("u", al, J)] = ctx.phihat(al, J).subst(submap)
     return ProlongedVF(ctx.space, n, comps, general=False)
 
 
@@ -464,10 +439,8 @@ def general_prolonged_vf(ctx: JetContext, n: int) -> ProlongedVF:
     comps: dict[tuple, Expr] = {}
     for i in range(p):
         comps[("x", i)] = ctx.expr(ctx.vf_var(i, ()))
-    for k in range(n + 1):
-        for al in range(q):
-            for J in mi_enumerate(p, k):
-                comps[("u", al, J)] = ctx.phihat(al, J)
+    for al, J in jet_keys(q, p, 0, n):
+        comps[("u", al, J)] = ctx.phihat(al, J)
     return ProlongedVF(ctx.space, n, comps, general=True)
 
 
@@ -558,7 +531,7 @@ def flow_jet(ctx: JetContext, components, t, g0: DiffeoJet, steps: int | None = 
         return g0
     m, n = ctx.space.m, g0.order
     lift = lift_vector_field(ctx, components, n)
-    keys = [(a, B) for k in range(n + 1) for a in range(m) for B in mi_enumerate(m, k)]
+    keys = jet_keys(m, m, 0, n)
     vids = [ctx.target_var(a, B) for a, B in keys]
     exprs = [lift[key] for key in keys]
     y = [float(g0.coeffs[key]) for key in keys]

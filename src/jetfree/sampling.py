@@ -18,9 +18,9 @@ import random
 
 from .detsys import PseudogroupSpec
 from .errors import NoSolution, PreconditionViolation, SingularJet
-from .jetspace import MultiIndex, SpaceSpec, mi_enumerate
+from .jetspace import MultiIndex, SpaceSpec, jet_keys
 from .prolong import DiffeoJet, SubmanifoldJetPoint
-from .stagesolve import StagedSystem, solve_stage
+from .stagesolve import StagedSystem
 from .symkernel import Scalar, scalar
 
 
@@ -36,11 +36,7 @@ def random_jet_point(
     space: SpaceSpec, n: int, rng: random.Random, bound: int = 10
 ) -> SubmanifoldJetPoint:
     x = tuple(random_rational(rng, bound) for _ in range(space.p))
-    u = {}
-    for k in range(n + 1):
-        for al in range(space.q):
-            for J in mi_enumerate(space.p, k):
-                u[(al, J)] = random_rational(rng, bound)
+    u = {key: random_rational(rng, bound) for key in jet_keys(space.q, space.p, 0, n)}
     return SubmanifoldJetPoint(space, n, x, u)
 
 
@@ -53,10 +49,8 @@ def lift_jet_point(
         raise PreconditionViolation("lift step must be nonnegative")
     space = z.space
     u = dict(z.u)
-    for order in range(z.order + 1, z.order + k + 1):
-        for al in range(space.q):
-            for J in mi_enumerate(space.p, order):
-                u[(al, J)] = random_rational(rng, bound)
+    for key in jet_keys(space.q, space.p, z.order + 1, z.order + k):
+        u[key] = random_rational(rng, bound)
     return SubmanifoldJetPoint(space, z.order + k, z.x, u)
 
 
@@ -76,15 +70,12 @@ def sample_group_jet(
     if not ds.determining:
         raise PreconditionViolation("sampling requires determining equations")
     system = StagedSystem(ds, n, z0)
-    ctx = system.ctx
     last_error: Exception | None = None
     for _ in range(max_tries):
         coeffs: dict[tuple[int, MultiIndex], Scalar] = {}
         try:
             for k in range(n + 1):
-                keys, vals, kern = solve_stage(
-                    system.stage(k), k, ds.space.m, ctx.target_var, coeffs, ctx.reg
-                )
+                keys, vals, kern = system.solve(k, coeffs)
                 for vec in kern:
                     c = random_rational(rng, bound)
                     vals = [v + c * w for v, w in zip(vals, vec)]

@@ -15,7 +15,7 @@ cross-section that fixes every coordinate of z^(n) to its own value.
 from __future__ import annotations
 
 from .errors import PreconditionViolation
-from .jetspace import mi_enumerate
+from .jetspace import jet_keys
 from .linalg import solve_affine
 from .symkernel import Expr, Scalar, VarRegistry, scalar
 
@@ -84,7 +84,7 @@ def solve_stage(
     the keys.  Raises NoSolution on an inconsistent stage,
     PreconditionViolation on an equation that is not affine, and
     DivisionByZero when the fixed values hit a denominator."""
-    keys = [(a, B) for a in range(m) for B in mi_enumerate(m, k)]
+    keys = list(jet_keys(m, m, k, k))
     fixed = {var(*key): Expr.const(reg, v) for key, v in values.items()}
     part, kern = solve_affine_exprs(
         [e.subst(fixed) for e in equations], [var(*key) for key in keys]
@@ -144,6 +144,12 @@ class StagedSystem:
             eqs = [e.subst(self._env) for e in self._raw.get(k, ())]
             self._determining[k] = eqs
         return eqs
+
+    def solve(self, k: int, values: dict) -> tuple[list, list[Scalar], list[list[Scalar]]]:
+        """solve_stage of stage k on top of the group-jet coefficients in
+        values."""
+        ctx = self.ctx
+        return solve_stage(self.stage(k), k, ctx.space.m, ctx.target_var, values, ctx.reg)
 
     def stage(self, k: int) -> list[Expr]:
         """Stage k: determining equations first, then the fixed

@@ -9,7 +9,12 @@ import pytest
 
 from jetfree.detsys import FreenessProblem, LinearDeterminingSystem, PseudogroupSpec
 from jetfree.dsl import load_bundled_spec, parse_spec
-from jetfree.errors import CoefficientSingularity, NotFreeAtBase, PreconditionViolation
+from jetfree.errors import (
+    CoefficientSingularity,
+    NotFreeAtBase,
+    OrderMismatch,
+    PreconditionViolation,
+)
 from jetfree.freeness import (
     INCONCLUSIVE,
     LOCALLY_FREE,
@@ -190,6 +195,17 @@ def test_e1_fiber_dimension_grows_with_order():
 def test_isotropy_algebra_dimensions():
     assert isotropy_algebra(_e1(), 1, _pt(0, 0, 1)).dimension == 0
     assert isotropy_algebra(_e1(), 1, _pt(0, 0, 0)).dimension == 1
+
+
+def test_isotropy_algebra_needs_the_point_to_its_order():
+    """A point of order below n is refused, as prolongation_matrix and
+    local_freeness refuse it; it used to give 2 basis elements where the
+    order-2 lift below gives 1."""
+    low = _pt(1, 1, 0)
+    for fn in (isotropy_algebra, prolongation_matrix, local_freeness):
+        with pytest.raises(OrderMismatch):
+            fn(_e1(), 2, low)
+    assert isotropy_algebra(_e1(), 2, _pt(1, 1, 0, 3)).dimension == 1
 
 
 def test_isotropy_algebra_is_subspace_of_kernel():

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetfree.errors import OrderCapExceeded, UnboundVariable
-from jetfree.jetspace import JetContext, SpaceSpec, jet_dims, mi_concat, mi_enumerate
+from jetfree.jetspace import (
+    JetContext,
+    SpaceSpec,
+    jet_dims,
+    jet_key_set,
+    jet_keys,
+    mi_concat,
+    mi_enumerate,
+)
 
 
 def _ctx_pq11() -> JetContext:
@@ -265,6 +273,37 @@ def test_jn_coords_row_order():
     ctx2 = _ctx_pq21()
     names2 = [r[-1] for r in ctx2.jn_coords(1)]
     assert names2 == ["x", "y", "u", "u.x", "u.y"]
+
+
+def _nested_loop_keys(components, slots, start, n):
+    """The jet-coordinate order as the nested loops once spelled it out."""
+    out = []
+    for k in range(start, n + 1):
+        for a in range(components):
+            for B in mi_enumerate(slots, k):
+                out.append((a, B))
+    return out
+
+
+def test_jet_key_table_keeps_the_nested_loop_order():
+    for components, slots in [(1, 1), (1, 2), (2, 2), (3, 3)]:
+        for n in range(6):
+            for start in range(n + 2):
+                assert list(jet_keys(components, slots, start, n)) == _nested_loop_keys(
+                    components, slots, start, n
+                )
+            want = set(_nested_loop_keys(components, slots, 0, n))
+            assert jet_key_set(components, slots, n) == want
+            assert jet_keys(components, slots, 0, n) is jet_keys(components, slots, 0, n)
+    # vf_coords run over (m, m), jn_coords over (q, p): together all four shapes
+    for ctx in (_ctx_pq11(), _ctx_pq21()):
+        sp = ctx.space
+        for n in range(6):
+            vf = [(a, B) for a, B, _ in ctx.vf_coords(n)]
+            assert vf == _nested_loop_keys(sp.m, sp.m, 0, n)
+            rows = ctx.jn_coords(n)
+            assert rows[: sp.p] == [("x", i, name) for i, name in enumerate(sp.independent)]
+            assert [(row[1], row[2]) for row in rows[sp.p :]] == _nested_loop_keys(sp.q, sp.p, 0, n)
 
 
 def test_vf_coords_counts():

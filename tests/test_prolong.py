@@ -18,6 +18,7 @@ from jetfree.prolong import (
     DiffeoJet,
     GroupoidElement,
     SubmanifoldJetPoint,
+    VectorFieldJet,
     act_on_jet,
     characteristic,
     context_for,
@@ -153,6 +154,33 @@ def test_singular_jet_rejected():
     }
     with pytest.raises(SingularJet):
         DiffeoJet(SP, 1, (_F(0), _F(0)), coeffs)
+
+
+def _loop_keys(components, slots, n):
+    return [(a, B) for k in range(n + 1) for a in range(components) for B in mi_enumerate(slots, k)]
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("space", [SP, SpaceSpec(("x", "y"), ("u",))], ids=["p1", "p2"])
+@pytest.mark.parametrize("kind", ["diffeo", "point", "field"])
+def test_jets_reject_missing_and_extra_keys(kind, space, n):
+    m, p, q = space.m, space.p, space.q
+    if kind == "point":
+        components, build = q, lambda vals: SubmanifoldJetPoint(space, n, (_F(0),) * p, vals)
+        keys = _loop_keys(q, p, n)
+    else:
+        cls = DiffeoJet if kind == "diffeo" else VectorFieldJet
+        components, build = m, lambda vals: cls(space, n, (_F(0),) * m, vals)
+        keys = _loop_keys(m, m, n)
+    # the identity jet's values, so a complete diffeomorphism jet is regular
+    complete = {(a, B): _F(1 if B == (a,) else 0) for a, B in keys}
+    build(complete)
+    for key in keys:
+        with pytest.raises(ValueError):
+            build({k: v for k, v in complete.items() if k != key})
+    for extra in [(components, ()), (0, (0,) * (n + 1))]:
+        with pytest.raises(ValueError):
+            build({**complete, extra: _F(0)})
 
 
 @st.composite
