@@ -31,8 +31,8 @@ from .freeness import (
     local_freeness,
     persistence_sweep,
 )
-from .jetspace import jet_keys
-from .prolong import DiffeoJet, SubmanifoldJetPoint, VectorFieldJet, context_for
+from .jetspace import context_for, jet_keys
+from .prolong import DiffeoJet, SubmanifoldJetPoint, VectorFieldJet
 
 # -- document serialization ---------------------------------------------------------
 
@@ -352,14 +352,10 @@ def cmd_frame(args) -> int:
         )
     zn = z.truncate(args.order)
     # anchor: the queried point moved onto the cross-section coordinate-wise
-    x = list(zn.x)
-    u = dict(zn.u)
-    for key, value in cs.pairs:
-        if key[0] == "x":
-            x[key[1]] = value
-        else:
-            u[(key[1], key[2])] = value
-    anchor = SubmanifoldJetPoint(spec.space, args.order, tuple(x), u)
+    fixed = dict(cs.pairs)
+    x = tuple(fixed.get(("x", i), v) for i, v in enumerate(zn.x))
+    u = {key: fixed.get(("u", *key), v) for key, v in zn.u.items()}
+    anchor = SubmanifoldJetPoint(spec.space, args.order, x, u)
     try:
         chart = MovingFrameChart(spec, args.order, cs, anchor)
         tr = chart.transversality
@@ -430,13 +426,12 @@ def cmd_isotropy(args) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
-def _add_common(p, with_point: bool = True) -> None:
+def _add_common(p) -> None:
     p.add_argument("spec", help="path to a .psg spec or a bundled name (e1, e2, e3)")
     p.add_argument("--json", action="store_true", help="emit one JSON report document")
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
-    if with_point:
-        p.add_argument("--order", type=int, required=True, help="jet order n")
-        p.add_argument("--point", required=True, help="path to a JSON point document")
+    p.add_argument("--order", type=int, required=True, help="jet order n")
+    p.add_argument("--point", required=True, help="path to a JSON point document")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -28,9 +28,9 @@ from .errors import (
     RegularityWarning,
     UnboundVariable,
 )
-from .jetspace import JetContext, MultiIndex, SpaceSpec, jet_keys, mi_concat
+from .jetspace import JetContext, MultiIndex, Row, SpaceSpec, context_for, jet_keys, mi_concat
 from .linalg import nullspace, rank
-from .prolong import VectorFieldJet, context_for
+from .prolong import VectorFieldJet
 from .symkernel import Expr, Scalar, scalar
 
 
@@ -115,11 +115,6 @@ class PseudogroupSpec:
         return closure
 
 
-# one linear equation sum_J c_J(z) zeta_J: its (zeta vid, c_J) pairs with
-# c_J nonzero, sorted by vid
-Row = tuple[tuple[int, Expr], ...]
-
-
 @dataclass(frozen=True)
 class LinearDeterminingSystem:
     """Homogeneous linear system on vector-field jets, complete (closed
@@ -143,7 +138,7 @@ class LinearDeterminingSystem:
         rows = []
         for e in self.equations:
             _check_kinds(ctx, e, ("source", "vf"), "linear determining equation")
-            rows.append(_zeta_row(ctx, e))
+            rows.append(ctx.linear_row(e))
         object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
@@ -162,7 +157,7 @@ class LinearDeterminingSystem:
         if name != "equations" or "rows" not in self.__dict__:
             raise AttributeError(name)
         ctx = context_for(self.space)
-        equations = tuple(_row_expr(ctx, row) for row in self.rows)
+        equations = tuple(ctx.row_expr(row) for row in self.rows)
         object.__setattr__(self, "equations", equations)
         return equations
 
@@ -186,34 +181,6 @@ class LinearDeterminingSystem:
         """The order-n truncation as equations."""
         ctx = context_for(self.space)
         return [e for e in self.prolonged(n).equations if ctx.max_order(e, "vf") <= n]
-
-
-def _row_expr(ctx: JetContext, row: Row) -> Expr:
-    out = ctx.const(0)
-    for vid, coeff in row:
-        out = out + coeff * ctx.expr(vid)
-    return out
-
-
-def _zeta_row(ctx: JetContext, e: Expr) -> Row:
-    """The row of e; raises unless e is homogeneous of degree 1 in the
-    zeta-variables."""
-    row = []
-    for vid in sorted(e.variables()):
-        if ctx.info(vid)[0] != "vf":
-            continue
-        coeff = e.diff(vid)
-        for w in coeff.variables():
-            if ctx.info(w)[0] == "vf":
-                raise PreconditionViolation(
-                    "linear determining equation is not linear in the field jets"
-                )
-        row.append((vid, coeff))
-    if not (_row_expr(ctx, row) - e).is_zero():
-        raise PreconditionViolation(
-            "linear determining equation is not homogeneous in the field jets"
-        )
-    return tuple(row)
 
 
 def _row_order(ctx: JetContext, row: Row) -> int:
@@ -240,12 +207,14 @@ def _row_derivative(ctx: JetContext, row: Row, b: int) -> Row:
 
 @dataclass
 class FiberBasis:
-    """Exact basis of the vector-field jet fiber at one base point."""
+    """Exact basis of the vector-field jet fiber at one base point, with
+    each element's nonzero coefficients {(a, B): c} as its column."""
 
     base: tuple
     order: int
     elements: list[VectorFieldJet]
     dimension: int = field(default=-1)
+    columns: tuple[dict, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.base = tuple(self.base)
@@ -253,6 +222,9 @@ class FiberBasis:
             self.dimension = len(self.elements)
         if self.dimension != len(self.elements):
             raise ValueError("dimension disagrees with the element count")
+        self.columns = tuple(
+            {key: c for key, c in elem.coeffs.items() if c != 0} for elem in self.elements
+        )
 
 
 # -- linearization ------------------------------------------------------------------
@@ -380,11 +352,6 @@ def prolong_determining_system(ds: PseudogroupSpec, k: int) -> list[Expr]:
 # -- the point-independent layer -------------------------------------------------------
 
 
-def nonzero_columns(basis: FiberBasis) -> tuple[dict, ...]:
-    """Each basis element's nonzero coefficients {(a, B): c}."""
-    return tuple({key: c for key, c in elem.coeffs.items() if c != 0} for elem in basis.elements)
-
-
 def combine_columns(columns: tuple[dict, ...], weights) -> dict:
     """Nonzero coefficients of the weighted sum of the columns."""
     out: dict = {}
@@ -431,7 +398,7 @@ class FreenessProblem:
     never outlives it."""
 
     system: LinearDeterminingSystem
-    # (order, base) -> (fiber basis, its nonzero columns)
+    # (order, base) -> fiber basis
     _fibers: dict = field(default_factory=dict, init=False, repr=False)
     # (n, order, base) -> nonzero columns of the fiber jets vanishing to order n
     _vanishing: dict = field(default_factory=dict, init=False, repr=False)
@@ -456,23 +423,13 @@ class FreenessProblem:
     def space(self) -> SpaceSpec:
         return self.system.space
 
-    def _solved_fiber(self, n: int, z0: tuple) -> tuple[FiberBasis, tuple[dict, ...]]:
-        key = (n, tuple(z0))
-        solved = self._fibers.get(key)
-        if solved is None:
-            fb = fiber_basis(self, n, z0)
-            solved = (fb, nonzero_columns(fb))
-            self._fibers[key] = solved
-        return solved
-
     def fiber(self, n: int, z0: tuple) -> FiberBasis:
         """Fiber basis of order n at base point z0, solved on first use."""
-        return self._solved_fiber(n, z0)[0]
-
-    def fiber_columns(self, n: int, z0: tuple) -> tuple[dict, ...]:
-        """The fiber basis's nonzero columns (see nonzero_columns), built
-        once with the fiber."""
-        return self._solved_fiber(n, z0)[1]
+        key = (n, tuple(z0))
+        fb = self._fibers.get(key)
+        if fb is None:
+            fb = self._fibers[key] = fiber_basis(self, n, z0)
+        return fb
 
     def vanishing_columns(self, n: int, order: int, z0: tuple) -> tuple[dict, ...]:
         """Nonzero columns of a basis of K, the order-`order` fiber jets at
@@ -481,7 +438,7 @@ class FreenessProblem:
         key = (n, order, tuple(z0))
         K = self._vanishing.get(key)
         if K is None:
-            columns = self.fiber_columns(order, z0)
+            columns = self.fiber(order, z0).columns
             K = ()
             if columns:
                 low = [(a, B) for a, B, _ in context_for(self.space).vf_coords(n)]

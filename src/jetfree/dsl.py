@@ -37,8 +37,7 @@ from pathlib import Path
 
 from .detsys import PseudogroupSpec
 from .errors import DivisionByZero
-from .jetspace import SpaceSpec
-from .prolong import context_for
+from .jetspace import SpaceSpec, context_for
 from .symkernel import Expr
 
 _KEYWORDS = {

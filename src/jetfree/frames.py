@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .detsys import PseudogroupSpec
+from .detsys import PseudogroupSpec, _jet_key
 from .errors import (
     DivisionByZero,
     DomainMismatch,
@@ -43,18 +43,11 @@ from .errors import (
     UnknownVariable,
 )
 from .freeness import prolongation_matrix
-from .jetspace import MultiIndex, SpaceSpec, jet_keys
+from .jetspace import CoordKey, MultiIndex, SpaceSpec, context_for, jet_keys
 from .linalg import rank, solve_square
-from .prolong import (
-    DiffeoJet,
-    SubmanifoldJetPoint,
-    act_on_jet,
-    context_for,
-    identity_jet,
-    jet_compose,
-)
+from .prolong import DiffeoJet, SubmanifoldJetPoint, act_on_jet, identity_jet, jet_compose
 from .sampling import random_jet_point, sample_group_jet
-from .stagesolve import CoordKey, StagedSystem
+from .stagesolve import StagedSystem
 from .symkernel import Expr, Scalar, scalar
 
 # -- cross-sections ---------------------------------------------------------------
@@ -97,13 +90,7 @@ class CrossSection:
         cls, space: SpaceSpec, order: int, fixes: Mapping[str, object]
     ) -> "CrossSection":
         """Build from coordinate names as printed for J^n, e.g. {"x": 0, "u.x": 1}."""
-        ctx = context_for(space)
-        by_name: dict[str, CoordKey] = {}
-        for row in ctx.jn_coords(order):
-            if row[0] == "x":
-                by_name[row[2]] = ("x", row[1])
-            else:
-                by_name[row[3]] = ("u", row[1], row[2])
+        by_name = {name: key for key, name, _ in context_for(space).jn_table(order)}
         pairs = []
         for name, value in fixes.items():
             key = by_name.get(name)
@@ -113,19 +100,13 @@ class CrossSection:
         return cls(space, order, tuple(pairs))
 
     def names(self) -> list[str]:
-        ctx = context_for(self.space)
-        return [
-            self.space.independent[key[1]] if key[0] == "x" else ctx.sub_name(key[1], key[2])
-            for key, _ in self.pairs
-        ]
-
-    def coordinate_value(self, z: SubmanifoldJetPoint, key: CoordKey):
-        return z.x[key[1]] if key[0] == "x" else z.u[(key[1], key[2])]
+        printed = {key: name for key, name, _ in context_for(self.space).jn_table(self.order)}
+        return [printed[key] for key, _ in self.pairs]
 
     def residuals(self, z: SubmanifoldJetPoint) -> list:
         if z.order < self.order:
             raise OrderMismatch(f"need an order-{self.order} jet point, got order {z.order}")
-        return [self.coordinate_value(z, key) - value for key, value in self.pairs]
+        return [z.value(key) - value for key, value in self.pairs]
 
     def satisfied_by(self, z: SubmanifoldJetPoint) -> bool:
         return all(v == 0 for v in self.residuals(z))
@@ -179,15 +160,12 @@ def check_transversality(
         raise OrderMismatch(f"need an order-{n} jet point, got order {z.order}")
     zn = z.truncate(n)
     for key, value in cs.pairs:
-        if cs.coordinate_value(zn, key) != value:
+        if zn.value(key) != value:
             raise PreconditionViolation(
                 f"point does not satisfy the cross-section equation fixing {key}"
             )
     pm = prolongation_matrix(ps, n, zn)
-    ctx = context_for(cs.space)
-    index: dict[CoordKey, int] = {}
-    for i, row in enumerate(ctx.jn_coords(n)):
-        index[("x", row[1]) if row[0] == "x" else ("u", row[1], row[2])] = i
+    index = {key: i for i, (key, _, _) in enumerate(context_for(cs.space).jn_table(n))}
     fixed_rows = {index[key] for key, _ in cs.pairs}
     d = len(index)
     free = [i for i in range(d) if i not in fixed_rows]
@@ -211,14 +189,6 @@ _NEWTON_TOLERANCE = 1e-12
 _NEWTON_MAX_ITER = 50
 # float frames and the sampled checks compare within this tolerance
 _VERIFY_TOLERANCE = max(_NEWTON_TOLERANCE * 1e3, 1e-9)
-
-
-@dataclass(frozen=True)
-class FrameSolverConfig:
-    """Staged exact elimination first; float Gauss-Newton from the identity
-    jet when a stage is not affine in its unknowns, if allowed."""
-
-    allow_float: bool = True
 
 
 def _verify_frame(cs: CrossSection, jet: DiffeoJet, zn: SubmanifoldJetPoint, tol) -> None:
@@ -285,10 +255,11 @@ def _solve_frame(
     n: int,
     cs: CrossSection,
     z: SubmanifoldJetPoint,
-    config: FrameSolverConfig,
 ) -> tuple[DiffeoJet, bool]:
     """Solve the normalization plus determining equations for the frame jet
-    at z; returns (jet, exact)."""
+    at z, by staged exact elimination, else by float Gauss-Newton from the
+    identity jet when a stage is not affine in its unknowns; returns
+    (jet, exact)."""
     space = ps.space
     if cs.space != space or z.space != space:
         raise PreconditionViolation("pseudogroup, cross-section, and point must share a space")
@@ -332,27 +303,21 @@ def _solve_frame(
         _verify_frame(cs, jet, zn, None)
         return jet, True
 
-    if config.allow_float:
-        jet = _newton_frame(n, cs, zn, system)
-        if jet is not None:
-            _verify_frame(cs, jet, zn, _VERIFY_TOLERANCE)
-            return jet, False
-    raise NonTriangular(
-        f"staged solve failed ({failure}) and the float fallback "
-        f"{'did not converge' if config.allow_float else 'is disabled'}"
-    )
+    jet = _newton_frame(n, cs, zn, system)
+    if jet is None:
+        raise NonTriangular(
+            f"staged solve failed ({failure}) and the float fallback did not converge"
+        )
+    _verify_frame(cs, jet, zn, _VERIFY_TOLERANCE)
+    return jet, False
 
 
 def construct_frame(
-    ps: PseudogroupSpec,
-    n: int,
-    cs: CrossSection,
-    z: SubmanifoldJetPoint,
-    config: FrameSolverConfig | None = None,
+    ps: PseudogroupSpec, n: int, cs: CrossSection, z: SubmanifoldJetPoint
 ) -> DiffeoJet:
     """Group jet ghat at z.base with act_on_jet(ghat, z) on the
     cross-section: exact when every stage is affine, float otherwise."""
-    jet, _ = _solve_frame(ps, n, cs, z, config or FrameSolverConfig())
+    jet, _ = _solve_frame(ps, n, cs, z)
     return jet
 
 
@@ -376,7 +341,6 @@ class MovingFrameChart:
     order: int
     cross_section: CrossSection
     anchor: SubmanifoldJetPoint
-    config: FrameSolverConfig = field(default_factory=FrameSolverConfig)
     transversality: TransversalityReport = field(init=False, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
     _outside: set = field(default_factory=set, repr=False)
@@ -391,23 +355,17 @@ class MovingFrameChart:
             )
         self.transversality = report
 
-    @staticmethod
-    def _key(zn: SubmanifoldJetPoint):
-        return (zn.x, tuple(sorted(zn.u.items())))
-
     def result(self, z: SubmanifoldJetPoint) -> FrameResult:
         if z.order < self.order:
             raise OrderMismatch(f"need an order-{self.order} jet point, got order {z.order}")
         zn = z.truncate(self.order)
-        key = self._key(zn)
+        key = _jet_key(zn, self.order)
         if key in self._outside:
             raise NoSolution("point recorded as outside the frame chart")
         hit = self._cache.get(key)
         if hit is None:
             try:
-                jet, exact = _solve_frame(
-                    self.pseudogroup, self.order, self.cross_section, zn, self.config
-                )
+                jet, exact = _solve_frame(self.pseudogroup, self.order, self.cross_section, zn)
             except NoSolution:
                 self._outside.add(key)
                 raise
@@ -426,14 +384,8 @@ def invariants(frame: MovingFrameChart, z: SubmanifoldJetPoint) -> list[tuple[st
     orbits through the chart."""
     zn = z.truncate(frame.order)
     moved = act_on_jet(frame.frame(zn), zn)
-    ctx = context_for(frame.cross_section.space)
-    out = []
-    for row in ctx.jn_coords(frame.order):
-        if row[0] == "x":
-            out.append((row[2], moved.x[row[1]]))
-        else:
-            out.append((row[3], moved.u[(row[1], row[2])]))
-    return out
+    table = context_for(frame.cross_section.space).jn_table(frame.order)
+    return [(name, moved.value(key)) for key, name, _ in table]
 
 
 # -- sampled verification ----------------------------------------------------------

@@ -32,7 +32,6 @@ from .detsys import (
     basis_from_rows,
     combine_columns,
     evaluated_rows,
-    nonzero_columns,
     vanishing_fiber_basis,
 )
 from .errors import (
@@ -45,7 +44,7 @@ from .errors import (
     SingularJet,
     SingularTotalJacobian,
 )
-from .jetspace import JetContext, MultiIndex, jet_keys, mi_concat
+from .jetspace import JetContext, MultiIndex, context_for, jet_keys, mi_concat
 from .linalg import nullspace, rank
 from .prolong import (
     DiffeoJet,
@@ -53,7 +52,6 @@ from .prolong import (
     VectorFieldJet,
     _point_env,
     act_on_jet,
-    context_for,
     identity_jet,
     prolong_at_point,
 )
@@ -75,7 +73,7 @@ def _combine(basis: FiberBasis, vec: list[Scalar]) -> VectorFieldJet:
     """Linear combination of fiber basis elements with the given weights."""
     first = basis.elements[0]
     coeffs = dict.fromkeys(first.coeffs, scalar(0))
-    coeffs.update(combine_columns(nonzero_columns(basis), vec))
+    coeffs.update(combine_columns(basis.columns, vec))
     return VectorFieldJet(first.space, basis.order, basis.base, coeffs)
 
 
@@ -148,9 +146,9 @@ def prolongation_matrix(ps, n: int, z: SubmanifoldJetPoint) -> ProlongationMatri
         raise OrderMismatch(f"need an order-{n} jet point, got order {z.order}")
     zn = z.truncate(n)
     ctx = context_for(problem.space)
-    columns = problem.fiber_columns(n, zn.base)
-    rows, entries = _restricted_matrix(ctx, zn, columns)
-    return ProlongationMatrix(n, zn, rows, problem.fiber(n, zn.base), entries)
+    basis = problem.fiber(n, zn.base)
+    rows, entries = _restricted_matrix(ctx, zn, basis.columns)
+    return ProlongationMatrix(n, zn, rows, basis, entries)
 
 
 def _lift_verdict(problem: FreenessProblem, n: int, z: SubmanifoldJetPoint) -> FreenessVerdict | None:
@@ -228,7 +226,7 @@ def isotropy_algebra(ps, n: int, z: SubmanifoldJetPoint) -> FiberBasis:
     vb = vanishing_fiber_basis(problem, n, zn.base)
     if vb.dimension == 0:
         return FiberBasis(zn.base, n, [])
-    _, entries = _restricted_matrix(ctx, zn, nonzero_columns(vb))
+    _, entries = _restricted_matrix(ctx, zn, vb.columns)
     kern = nullspace(entries, vb.dimension)
     return FiberBasis(zn.base, n, [_combine(vb, vec) for vec in kern])
 
@@ -502,9 +500,7 @@ class StabilizerReport:
 
 def _full_cross_section(z: SubmanifoldJetPoint) -> list:
     """The cross-section fixing every coordinate of z to its own value."""
-    return [(("x", i), v) for i, v in enumerate(z.x)] + [
-        (("u", al, J), v) for (al, J), v in z.u.items()
-    ]
+    return [(key, z.value(key)) for key, _, _ in context_for(z.space).jn_table(z.order)]
 
 
 def top_order_stabilizer(ps: PseudogroupSpec, n: int, z: SubmanifoldJetPoint) -> StabilizerReport:

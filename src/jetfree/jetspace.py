@@ -21,12 +21,21 @@ must hold, and every report read it.  Jet orders are capped:
 so existing expressions stay valid) and the derivative operators fail
 with :class:`~jetfree.errors.OrderCapExceeded` past the cap.
 
+A coordinate of the submanifold jet space J^n is keyed ("x", i) for x^i
+or ("u", alpha, J) for u^alpha_J (:data:`CoordKey`).
+:meth:`JetContext.jn_table` is the one place that decides the
+coordinates of J^n: their row order, printed names and variables.  It
+and the per-coordinate reads next to it (:func:`coord_order`,
+:func:`coord_value`, the moved coordinate of the prolonged action and
+the general prolonged field's component) are the only code that tells
+an x key from a u key.
+
 The context also provides the three derivative operators used
 throughout: the total derivative D_{z^b} on diffeomorphism/vector-field
 jets, the lifted total derivative that additionally moves submanifold
 jets along the contact structure, and the invariant total derivative
 obtained by contracting with the exact inverse of the total Jacobian
-matrix.
+matrix.  The contexts are shared per space (:func:`context_for`).
 """
 
 from __future__ import annotations
@@ -38,12 +47,17 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Mapping
 
-from .errors import OrderCapExceeded, SingularJacobian, UnboundVariable
+from .errors import OrderCapExceeded, PreconditionViolation, UnboundVariable
+from .linalg import expr_inverse
 from .symkernel import Expr, Mono, VarRegistry
 
 MultiIndex = tuple[int, ...]
 # (component, multi-index) of one jet coordinate
 JetKey = tuple[int, MultiIndex]
+# a coordinate of J^n: ("x", i) for x^i, ("u", alpha, J) for u^alpha_J
+CoordKey = tuple
+# one linear form sum_J c_J zeta_J: its (zeta vid, c_J) pairs, sorted by vid
+Row = tuple[tuple[int, Expr], ...]
 
 
 def mi_enumerate(symbols: int, order: int) -> list[MultiIndex]:
@@ -77,6 +91,17 @@ def jet_key_set(components: int, slots: int, n: int) -> frozenset[JetKey]:
 def mi_concat(B: MultiIndex, b: int) -> MultiIndex:
     """Append one slot and resort into canonical nondecreasing form."""
     return tuple(sorted(B + (b,)))
+
+
+def coord_order(key: CoordKey) -> int:
+    """Jet order of a coordinate of J^n: 0 for x^i, |J| for u^alpha_J."""
+    return 0 if key[0] == "x" else len(key[2])
+
+
+def coord_value(key: CoordKey, x: tuple, u: Mapping) -> object:
+    """Value of the coordinate key at the jet point with independent
+    values x and submanifold jets u, keyed (alpha, J)."""
+    return x[key[1]] if key[0] == "x" else u[key[1:]]
 
 
 @dataclass(frozen=True)
@@ -179,12 +204,13 @@ class JetContext:
         self._target_cap = -1
         self._sub_cap = 0
         self._vf_cap = -1
+        self._jn: dict[int, tuple[tuple[CoordKey, str, int], ...]] = {}
         self._param: int | None = None
         self._W: list[list[Expr]] | None = None
         self._uhat: dict[tuple[int, MultiIndex], Expr] = {}
         self._qtot: dict[tuple[int, MultiIndex], Expr] = {}
         self._phihat: dict[tuple[int, MultiIndex], Expr] = {}
-        self._phihat_coeffs: dict[tuple[int, MultiIndex], tuple[tuple[int, Expr], ...]] = {}
+        self._phihat_coeffs: dict[tuple[int, MultiIndex], Row] = {}
         self._phihat_plans: dict[tuple[int, int], PhihatPlan] = {}
 
     # -- naming --------------------------------------------------------------
@@ -283,15 +309,24 @@ class JetContext:
         m = self.space.m
         return [(a, B, self._vf[(a, B)]) for a, B in jet_keys(m, m, 0, n)]
 
+    def jn_table(self, n: int) -> tuple[tuple[CoordKey, str, int], ...]:
+        """The coordinates of the submanifold jet space J^n in row order,
+        x^i first, then u^alpha_J in jet-key order: (key, printed name,
+        variable) for each.  Built once per order."""
+        table = self._jn.get(n)
+        if table is None:
+            self.ensure_sub(n)
+            xs = [(("x", i), name, self._src[i]) for i, name in enumerate(self.space.independent)]
+            us = [
+                (("u", al, J), self.sub_name(al, J), self._sub[(al, J)])
+                for al, J in jet_keys(self.space.q, self.space.p, 0, n)
+            ]
+            table = self._jn[n] = tuple(xs + us)
+        return table
+
     def jn_coords(self, n: int) -> list[tuple]:
-        """Coordinates of the submanifold jet space of order n, in row order:
-        x^i first, then u^alpha_J by increasing order.  Entries are
-        ("x", i, name) or ("u", al, J, name)."""
-        self.ensure_sub(n)
-        out: list[tuple] = [("x", i, name) for i, name in enumerate(self.space.independent)]
-        for al, J in jet_keys(self.space.q, self.space.p, 0, n):
-            out.append(("u", al, J, self.sub_name(al, J)))
-        return out
+        """The rows of jn_table(n) as ("x", i, name) or ("u", al, J, name)."""
+        return [key + (name,) for key, name, _ in self.jn_table(n)]
 
     # -- derivative operators ---------------------------------------------------
 
@@ -342,9 +377,7 @@ class JetContext:
         """Exact inverse of the total Jacobian; entry [k][j] multiplies the
         lifted x^k-derivative inside the invariant X^j-derivative."""
         if self._W is None:
-            from .linalg import expr_inverse
-
-            self._W = expr_inverse(self.total_jacobian(), SingularJacobian)
+            self._W = expr_inverse(self.total_jacobian())
         return self._W
 
     def invariant_total_derivative(self, e: Expr, j: int) -> Expr:
@@ -411,30 +444,66 @@ class JetContext:
         self._phihat[(al, J)] = e
         return e
 
-    def phihat_coeffs(self, al: int, J: MultiIndex) -> tuple[tuple[int, Expr], ...]:
+    def phihat_coeffs(self, al: int, J: MultiIndex) -> Row:
         """Decomposition of phihat as sum of coeff(x, u-jets) * zeta-jet."""
         J = tuple(sorted(J))
-        cached = self._phihat_coeffs.get((al, J))
-        if cached is not None:
-            return cached
-        e = self.phihat(al, J)
-        pairs: list[tuple[int, Expr]] = []
-        check = self.const(0)
+        row = self._phihat_coeffs.get((al, J))
+        if row is None:
+            row = self._phihat_coeffs[(al, J)] = self.linear_row(self.phihat(al, J))
+        return row
+
+    def linear_row(self, e: Expr) -> Row:
+        """e as a row: its (zeta vid, coefficient) pairs, sorted by vid.
+        Raises PreconditionViolation unless e is homogeneous of degree 1
+        in the zeta-variables."""
+        row = []
         for vid in sorted(e.variables()):
-            if self._info.get(vid, ("",))[0] != "vf":
+            if self.info(vid)[0] != "vf":
                 continue
             coeff = e.diff(vid)
-            if coeff.is_zero():
-                continue
-            if any(self._info.get(w, ("",))[0] == "vf" for w in coeff.variables()):
-                raise ArithmeticError("prolonged component is not linear in vector-field jets")
-            pairs.append((vid, coeff))
-            check = check + coeff * Expr.var(self.reg, vid)
-        if not (check - e).is_zero():
-            raise ArithmeticError("prolonged component is not homogeneous in vector-field jets")
-        out = tuple(pairs)
-        self._phihat_coeffs[(al, J)] = out
+            for w in coeff.variables():
+                if self.info(w)[0] == "vf":
+                    raise PreconditionViolation(
+                        "linear determining equation is not linear in the field jets"
+                    )
+            row.append((vid, coeff))
+        if not (self.row_expr(row) - e).is_zero():
+            raise PreconditionViolation(
+                "linear determining equation is not homogeneous in the field jets"
+            )
+        return tuple(row)
+
+    def row_expr(self, row: Row) -> Expr:
+        """The linear form of a row as an expression."""
+        out = self.const(0)
+        for vid, coeff in row:
+            out = out + coeff * self.expr(vid)
         return out
+
+    # -- one coordinate of J^n under the prolonged action --------------------------
+
+    def moved_coord(self, key: CoordKey) -> Expr:
+        """The coordinate key of the moved point g.z^(n): X^i, or
+        uhat(alpha, J) (U^alpha when J is empty)."""
+        if key[0] == "x":
+            self.ensure_target(0)
+            return self.expr(self.target_var(key[1], ()))
+        return self.uhat(key[1], key[2])
+
+    def prolonged_coord(self, key: CoordKey) -> Expr:
+        """The component of the general prolonged vector field along the
+        coordinate key: zeta^{x^i}, or phihat(alpha, J)."""
+        if key[0] == "x":
+            self.ensure_vf(0)
+            return self.expr(self.vf_var(key[1], ()))
+        return self.phihat(key[1], key[2])
+
+    def prolonged_row(self, key: CoordKey) -> Row:
+        """prolonged_coord(key) as a row: (zeta vid, coefficient in
+        (x, u-jets)) pairs."""
+        if key[0] == "x":
+            return self.linear_row(self.prolonged_coord(key))
+        return self.phihat_coeffs(key[1], key[2])
 
     def phihat_plan(self, n: int, above: int = -1) -> PhihatPlan:
         """The compiled phihat coefficients of the rows of J^n; with
@@ -446,9 +515,15 @@ class JetContext:
         return plan
 
 
+@cache
+def context_for(space: SpaceSpec) -> JetContext:
+    """Shared per-space context so symbolic caches are built once."""
+    return JetContext(space)
+
+
 class PhihatPlan:
-    """Rows of the prolonged-action differential at order n, in jn_coords
-    order: each row's phihat coefficients (a 1 on zeta^i for an x^i row)
+    """Rows of the prolonged-action differential at order n, in jn_table
+    order: each row's prolonged_row (a 1 on zeta^i for an x^i row)
     compiled to integer polynomial terms over one shared table of
     monomials in (x, u-jets).  Evaluating the plan at a point evaluates
     each monomial once for the whole matrix, in integer arithmetic.
@@ -462,15 +537,11 @@ class PhihatPlan:
         monos: dict[Mono, int] = {}
         degree: dict[int, int] = {}
         rows = []
-        for row in ctx.jn_coords(n):
-            if (0 if row[0] == "x" else len(row[2])) <= above:
+        for key, _, _ in ctx.jn_table(n):
+            if coord_order(key) <= above:
                 continue
-            if row[0] == "x":
-                pairs: tuple[tuple[int, Expr], ...] = ((ctx.vf_var(row[1], ()), ctx.const(1)),)
-            else:
-                pairs = ctx.phihat_coeffs(row[1], row[2])
             entries = []
-            for vid, coeff in pairs:
+            for vid, coeff in ctx.prolonged_row(key):
                 if len(ctx.info(vid)[2]) <= above:
                     continue
                 if not coeff.is_polynomial():

@@ -222,11 +222,9 @@ def solve_square(a: Sequence[Sequence], b: Sequence) -> list | None:
     return None if x is None else [v for v, in x]
 
 
-def expr_inverse(
-    rows: Sequence[Sequence[Expr]], singular_error: type[Exception] = SingularJacobian
-) -> list[list[Expr]]:
+def expr_inverse(rows: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
     """Exact inverse of a square Expr matrix over the rational-function
-    field; raises ``singular_error`` when the matrix is singular as a
+    field; raises SingularJacobian when the matrix is singular as a
     matrix of rational functions."""
     n = len(rows)
     reg = rows[0][0].reg
@@ -234,5 +232,5 @@ def expr_inverse(
     m = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
     _, inverse = _gauss(m, n)
     if inverse is None:
-        raise singular_error("matrix of rational functions is singular")
+        raise SingularJacobian("matrix of rational functions is singular")
     return inverse

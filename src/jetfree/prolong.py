@@ -23,6 +23,7 @@ numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import isfinite
 
 from .errors import (
@@ -34,21 +35,20 @@ from .errors import (
     SingularTotalJacobian,
     StepFailure,
 )
-from .jetspace import JetContext, MultiIndex, SpaceSpec, jet_key_set, jet_keys, mi_concat
+from .jetspace import (
+    CoordKey,
+    JetContext,
+    MultiIndex,
+    SpaceSpec,
+    context_for,
+    coord_value,
+    jet_key_set,
+    jet_keys,
+    mi_concat,
+)
 from .linalg import det
 from .stagesolve import solve_stage
 from .symkernel import Expr, VarRegistry, scalar
-
-_CTX_CACHE: dict[SpaceSpec, JetContext] = {}
-
-
-def context_for(space: SpaceSpec) -> JetContext:
-    """Shared per-space context so symbolic caches are built once."""
-    ctx = _CTX_CACHE.get(space)
-    if ctx is None:
-        ctx = JetContext(space)
-        _CTX_CACHE[space] = ctx
-    return ctx
 
 
 def _is_exact(value) -> bool:
@@ -120,6 +120,10 @@ class SubmanifoldJetPoint:
         """Underlying point of M: (x, u) values."""
         return self.x + tuple(self.u[(al, ())] for al in range(self.space.q))
 
+    def value(self, key: CoordKey):
+        """The value of the coordinate key of J^n (see JetContext.jn_table)."""
+        return coord_value(key, self.x, self.u)
+
     def truncate(self, n: int) -> SubmanifoldJetPoint:
         if n > self.order:
             raise OrderMismatch("cannot truncate upward")
@@ -176,9 +180,10 @@ class GroupoidElement:
 @dataclass
 class ProlongedVF:
     """Components of a prolonged vector field on submanifold jet space,
-    keyed ("x", i) and ("u", alpha, J).  For the formal general field the
-    components are linear homogeneous in the zeta-jet variables; for a
-    concrete field they are expressions in (x, u-jets)."""
+    keyed by the coordinates of J^n (see JetContext.jn_table).  For the
+    formal general field the components are linear homogeneous in the
+    zeta-jet variables; for a concrete field they are expressions in
+    (x, u-jets)."""
 
     space: SpaceSpec
     order: int
@@ -271,15 +276,9 @@ class _CompTable:
         return out
 
 
-_COMP_TABLES: dict[tuple[int, int], _CompTable] = {}
-
-
+@cache
 def _comp_table(m: int, n: int) -> _CompTable:
-    tab = _COMP_TABLES.get((m, n))
-    if tab is None:
-        tab = _CompTable(m, n)
-        _COMP_TABLES[(m, n)] = tab
-    return tab
+    return _CompTable(m, n)
 
 
 # -- groupoid operations ---------------------------------------------------------
@@ -333,13 +332,7 @@ def jet_invert(g: DiffeoJet) -> DiffeoJet:
 
 
 def _point_env(ctx: JetContext, z: SubmanifoldJetPoint) -> dict[int, object]:
-    ctx.ensure_sub(z.order)
-    env = {}
-    for i in range(ctx.space.p):
-        env[ctx.source_var(i)] = z.x[i]
-    for (al, J), val in z.u.items():
-        env[ctx.sub_var(al, J)] = val
-    return env
+    return {vid: z.value(key) for key, _, vid in ctx.jn_table(z.order)}
 
 
 def act_on_jet(g: DiffeoJet, z: SubmanifoldJetPoint) -> SubmanifoldJetPoint:
@@ -416,31 +409,21 @@ def prolong_vector_field(ctx: JetContext, components, n: int) -> ProlongedVF:
     """Prolongation of a concrete vector field with rational components:
     substitutes the derivatives of the components into the formal
     prolongation."""
-    p, q = ctx.space.p, ctx.space.q
-    if len(components) != p + q:
+    if len(components) != ctx.space.m:
         raise ValueError("need one component per coordinate of M")
     src = [ctx.source_var(a) for a in range(ctx.space.m)]
     submap = {}
     for a, B, vid in ctx.vf_coords(n):
         submap[vid] = _partial(components[a], src, B)
-    comps: dict[tuple, Expr] = {}
-    for i in range(p):
-        comps[("x", i)] = components[i]
-    for al, J in jet_keys(q, p, 0, n):
-        comps[("u", al, J)] = ctx.phihat(al, J).subst(submap)
+    comps = {key: ctx.prolonged_coord(key).subst(submap) for key, _, _ in ctx.jn_table(n)}
     return ProlongedVF(ctx.space, n, comps, general=False)
 
 
 def general_prolonged_vf(ctx: JetContext, n: int) -> ProlongedVF:
     """Formal prolongation with the vector-field jet left symbolic; each
     component is linear homogeneous in the zeta-variables."""
-    p, q = ctx.space.p, ctx.space.q
     ctx.ensure_vf(n)
-    comps: dict[tuple, Expr] = {}
-    for i in range(p):
-        comps[("x", i)] = ctx.expr(ctx.vf_var(i, ()))
-    for al, J in jet_keys(q, p, 0, n):
-        comps[("u", al, J)] = ctx.phihat(al, J)
+    comps = {key: ctx.prolonged_coord(key) for key, _, _ in ctx.jn_table(n)}
     return ProlongedVF(ctx.space, n, comps, general=True)
 
 
@@ -451,21 +434,11 @@ def prolong_at_point(ctx: JetContext, z: SubmanifoldJetPoint):
     n = z.order
     env = _point_env(ctx, z)
     cols = ctx.vf_coords(n)
-    rows = ctx.jn_coords(n)
     mat = []
-    for row in rows:
-        if row[0] == "x":
-            i = row[1]
-            mat.append([scalar(1) if (a == i and B == ()) else scalar(0) for a, B, _ in cols])
-        else:
-            al, J = row[1], row[2]
-            by_vid = {vid: ce for vid, ce in ctx.phihat_coeffs(al, J)}
-            line = []
-            for _, _, vid in cols:
-                ce = by_vid.get(vid)
-                line.append(scalar(0) if ce is None else ce.eval(env))
-            mat.append(line)
-    return mat, rows, [(a, B) for a, B, _ in cols]
+    for key, _, _ in ctx.jn_table(n):
+        by_vid = dict(ctx.prolonged_row(key))
+        mat.append([by_vid[vid].eval(env) if vid in by_vid else scalar(0) for _, _, vid in cols])
+    return mat, ctx.jn_coords(n), [(a, B) for a, B, _ in cols]
 
 
 # -- brackets ----------------------------------------------------------------------
@@ -503,17 +476,12 @@ def prolonged_bracket(ctx: JetContext, A: ProlongedVF, B: ProlongedVF) -> Prolon
     submanifold jet coordinates up to the common order."""
     if A.order != B.order:
         raise OrderMismatch("prolonged fields have different orders")
-
-    def coord_vid(key):
-        if key[0] == "x":
-            return ctx.source_var(key[1])
-        return ctx.sub_var(key[1], key[2])
-
+    coord_vid = {key: vid for key, _, vid in ctx.jn_table(A.order)}
     comps = {}
     for key in A.components:
         e = ctx.const(0)
         for ckey in A.components:
-            dvid = coord_vid(ckey)
+            dvid = coord_vid[ckey]
             e = e + A.components[ckey] * B.components[key].diff(dvid)
             e = e - B.components[ckey] * A.components[key].diff(dvid)
         comps[key] = e

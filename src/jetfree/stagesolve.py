@@ -15,12 +15,9 @@ cross-section that fixes every coordinate of z^(n) to its own value.
 from __future__ import annotations
 
 from .errors import PreconditionViolation
-from .jetspace import jet_keys
+from .jetspace import CoordKey, context_for, coord_order, jet_keys
 from .linalg import solve_affine
 from .symkernel import Expr, Scalar, VarRegistry, scalar
-
-# A fixed coordinate is keyed ("x", i) or ("u", alpha, J).
-CoordKey = tuple
 
 
 def extract_affine(
@@ -109,9 +106,6 @@ class StagedSystem:
     kept."""
 
     def __init__(self, ps, n: int, base: tuple, u=None, fixes=(), known=None):
-        # prolong imports this module for jet inversion
-        from .prolong import context_for
-
         ctx = context_for(ps.space)
         ctx.ensure_target(n)
         ctx.ensure_sub(n + 1)
@@ -129,13 +123,7 @@ class StagedSystem:
     def normalization(self, key: CoordKey, value) -> Expr:
         """Residual of one fixed coordinate of the moved point, in the
         group-jet variables, denominators kept."""
-        ctx = self.ctx
-        if key[0] == "x":
-            return ctx.expr(ctx.target_var(key[1], ())) - ctx.const(value)
-        al, J = key[1], key[2]
-        if not J:
-            return ctx.expr(ctx.target_var(ctx.space.p + al, ())) - ctx.const(value)
-        return ctx.uhat(al, J).subst(self._env) - ctx.const(value)
+        return self.ctx.moved_coord(key).subst(self._env) - self.ctx.const(value)
 
     def determining(self, k: int) -> list[Expr]:
         """The prolonged determining equations of target order k."""
@@ -158,7 +146,7 @@ class StagedSystem:
         if eqs is None:
             eqs = list(self.determining(k))
             for key, value in self.fixes:
-                if (len(key[2]) if key[0] == "u" else 0) == k:
+                if coord_order(key) == k:
                     e = self.normalization(key, value)
                     eqs.append(e.numerator() if k > 0 else e)
             self._stages[k] = eqs

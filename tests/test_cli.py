@@ -393,6 +393,44 @@ def test_persistence_all_lifts_skipped_is_inconclusive(capsys, tmp_path, monkeyp
     assert out.startswith("INCONCLUSIVE")
 
 
+def test_persistence_flipped_lift_is_a_counterexample(capsys, tmp_path, monkeypatch):
+    import jetfree.freeness as freeness
+
+    real = freeness.local_freeness
+    flat = point_from_document(SpaceSpec(("x",), ("u",)), P_FLAT)
+
+    def flat_on_lifts(ps, n, z):
+        # every lift gets the verdict of the flat point, which is not free
+        return real(ps, 1, flat) if n > 1 else real(ps, n, z)
+
+    pt = _point_file(tmp_path, P_FLAT, "flat.json")
+    rc, out, _ = _run(capsys, ["freeness", "e1", "--order", "1", "--point", pt, "--json"])
+    assert rc == 1
+    flat_kernel = _report(out)["kernel_basis"]
+    monkeypatch.setattr(freeness, "local_freeness", flat_on_lifts)
+    pt = _point_file(tmp_path, P_FREE)
+    argv = ["persistence", "e1", "--order", "1", "--point", pt,
+            "--through", "3", "--samples", "4", "--seed", "0"]
+    rc, out, _ = _run(capsys, argv + ["--json"])
+    assert rc == 1
+    doc = _report(out)
+    assert doc["verdict"] == "COUNTEREXAMPLE"
+    assert (doc["lifts_checked"], doc["skipped"]) == (1, 0)
+    assert len(doc["failures"]) == 1
+    failure = doc["failures"][0]
+    assert set(failure) == {"order", "lift", "kernel_basis"}
+    assert failure["order"] == 2
+    lift = failure["lift"]
+    assert lift["order"] == 2
+    assert (lift["independent"], lift["dependent"]) == (P_FREE["independent"], P_FREE["dependent"])
+    assert set(lift["jets"]) == {"u.x", "u.xx"}
+    assert lift["jets"]["u.x"] == "1"
+    assert failure["kernel_basis"] == flat_kernel and len(flat_kernel) == 1
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 1
+    assert out.strip() == "COUNTEREXAMPLE at order 2: see --json for the lift and kernel element"
+
+
 # -- frame --------------------------------------------------------------------------
 
 

@@ -17,7 +17,6 @@ from jetfree.errors import (
 )
 from jetfree.frames import (
     CrossSection,
-    FrameSolverConfig,
     MovingFrameChart,
     check_compatibility,
     check_equivariance,
@@ -430,10 +429,3 @@ def test_newton_fallback_on_nonlinear_determining_system():
     assert abs(float(moved.x[0])) <= 1e-9
     chart = MovingFrameChart(ps, 1, cs, _pt(0, 3, 5))
     assert not chart.result(z).exact
-
-
-def test_newton_fallback_can_be_disabled():
-    ps = _cube()
-    cs = CrossSection.from_names(SP, 1, {"x": 0})
-    with pytest.raises(NonTriangular):
-        construct_frame(ps, 1, cs, _pt(Fraction(1, 2), 3, 5), FrameSolverConfig(allow_float=False))

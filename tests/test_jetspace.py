@@ -11,12 +11,16 @@ from jetfree.errors import OrderCapExceeded, UnboundVariable
 from jetfree.jetspace import (
     JetContext,
     SpaceSpec,
+    coord_order,
     jet_dims,
     jet_key_set,
     jet_keys,
     mi_concat,
     mi_enumerate,
 )
+from jetfree.prolong import _point_env, prolong_at_point
+from jetfree.sampling import random_jet_point
+from jetfree.symkernel import scalar
 
 
 def _ctx_pq11() -> JetContext:
@@ -304,6 +308,62 @@ def test_jet_key_table_keeps_the_nested_loop_order():
             rows = ctx.jn_coords(n)
             assert rows[: sp.p] == [("x", i, name) for i, name in enumerate(sp.independent)]
             assert [(row[1], row[2]) for row in rows[sp.p :]] == _nested_loop_keys(sp.q, sp.p, 0, n)
+
+
+def _old_jn_coords(ctx, n):
+    """jn_coords as the x and u loops once spelled it out."""
+    ctx.ensure_sub(n)
+    out = [("x", i, name) for i, name in enumerate(ctx.space.independent)]
+    for al, J in _nested_loop_keys(ctx.space.q, ctx.space.p, 0, n):
+        out.append(("u", al, J, ctx.sub_name(al, J)))
+    return out
+
+
+def _old_point_env(ctx, z):
+    """The variable binding of a jet point as once spelled out."""
+    ctx.ensure_sub(z.order)
+    env = {}
+    for i in range(ctx.space.p):
+        env[ctx.source_var(i)] = z.x[i]
+    for (al, J), val in z.u.items():
+        env[ctx.sub_var(al, J)] = val
+    return env
+
+
+@pytest.mark.parametrize("make_ctx", [_ctx_pq11, _ctx_pq21])
+def test_jn_table_keeps_the_x_and_u_rows(make_ctx):
+    ctx = make_ctx()
+    sp = ctx.space
+    rng = random.Random(3)
+    for n in range(4):
+        table = ctx.jn_table(n)
+        assert ctx.jn_table(n) is table
+        old = _old_jn_coords(ctx, n)
+        assert [key + (name,) for key, name, _ in table] == old == ctx.jn_coords(n)
+        want_vids = [ctx.source_var(i) for i in range(sp.p)]
+        want_vids += [ctx.sub_var(row[1], row[2]) for row in old[sp.p :]]
+        assert [vid for _, _, vid in table] == want_vids
+        assert [coord_order(key) for key, _, _ in table] == [
+            0 if row[0] == "x" else len(row[2]) for row in old
+        ]
+        z = random_jet_point(sp, n, rng)
+        assert _point_env(ctx, z) == _old_point_env(ctx, z)
+        assert [z.value(key) for key, _, _ in table] == list(z.x) + list(z.u.values())
+        mat, rows, cols = prolong_at_point(ctx, z)
+        assert rows == old
+        for i in range(sp.p):
+            assert mat[i] == [scalar(1) if (a == i and B == ()) else scalar(0) for a, B in cols]
+    # the per-coordinate expressions where the x/u dispatch used to be spelled out
+    for i in range(sp.p):
+        assert ctx.moved_coord(("x", i)) == ctx.expr(ctx.target_var(i, ()))
+        assert ctx.prolonged_coord(("x", i)) == ctx.expr(ctx.vf_var(i, ()))
+        assert ctx.prolonged_row(("x", i)) == ((ctx.vf_var(i, ()), ctx.const(1)),)
+    for al in range(sp.q):
+        assert ctx.moved_coord(("u", al, ())) == ctx.expr(ctx.target_var(sp.p + al, ()))
+        for J in [(), (0,), (0, 0)]:
+            assert ctx.moved_coord(("u", al, J)) is ctx.uhat(al, J)
+            assert ctx.prolonged_coord(("u", al, J)) is ctx.phihat(al, J)
+            assert ctx.prolonged_row(("u", al, J)) is ctx.phihat_coeffs(al, J)
 
 
 def test_vf_coords_counts():
