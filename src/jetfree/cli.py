@@ -434,6 +434,8 @@ def _add_common(p) -> None:
     p.add_argument("--point", required=True, help="path to a JSON point document")
 
 
+# built on the first main() call and kept for the process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="jetfree",

@@ -191,9 +191,12 @@ _NEWTON_MAX_ITER = 50
 _VERIFY_TOLERANCE = max(_NEWTON_TOLERANCE * 1e3, 1e-9)
 
 
-def _verify_frame(cs: CrossSection, jet: DiffeoJet, zn: SubmanifoldJetPoint, tol) -> None:
+def _verify_frame(
+    cs: CrossSection, jet: DiffeoJet, zn: SubmanifoldJetPoint, tol
+) -> SubmanifoldJetPoint:
     """Re-apply the jet and check the fixed coordinates; denominator
-    clearing during staging could otherwise let a spurious root through."""
+    clearing during staging could otherwise let a spurious root through.
+    Returns the moved point."""
     try:
         moved = act_on_jet(jet, zn)
     except (SingularTotalJacobian, DivisionByZero) as exc:
@@ -204,6 +207,7 @@ def _verify_frame(cs: CrossSection, jet: DiffeoJet, zn: SubmanifoldJetPoint, tol
             raise NoSolution(
                 "normalization failed verification; the point lies outside the frame chart"
             )
+    return moved
 
 
 def _newton_frame(
@@ -250,16 +254,25 @@ def _newton_frame(
     return None
 
 
+@dataclass(frozen=True)
+class FrameResult:
+    """The frame jet at a point, whether it is exact, and the point it
+    moves onto the cross-section."""
+
+    jet: DiffeoJet
+    exact: bool
+    moved: SubmanifoldJetPoint
+
+
 def _solve_frame(
     ps: PseudogroupSpec,
     n: int,
     cs: CrossSection,
     z: SubmanifoldJetPoint,
-) -> tuple[DiffeoJet, bool]:
+) -> FrameResult:
     """Solve the normalization plus determining equations for the frame jet
     at z, by staged exact elimination, else by float Gauss-Newton from the
-    identity jet when a stage is not affine in its unknowns; returns
-    (jet, exact)."""
+    identity jet when a stage is not affine in its unknowns."""
     space = ps.space
     if cs.space != space or z.space != space:
         raise PreconditionViolation("pseudogroup, cross-section, and point must share a space")
@@ -300,16 +313,14 @@ def _solve_frame(
             raise NoSolution(
                 "normalized jet is singular; the point lies outside the frame chart"
             ) from exc
-        _verify_frame(cs, jet, zn, None)
-        return jet, True
+        return FrameResult(jet, True, _verify_frame(cs, jet, zn, None))
 
     jet = _newton_frame(n, cs, zn, system)
     if jet is None:
         raise NonTriangular(
             f"staged solve failed ({failure}) and the float fallback did not converge"
         )
-    _verify_frame(cs, jet, zn, _VERIFY_TOLERANCE)
-    return jet, False
+    return FrameResult(jet, False, _verify_frame(cs, jet, zn, _VERIFY_TOLERANCE))
 
 
 def construct_frame(
@@ -317,17 +328,10 @@ def construct_frame(
 ) -> DiffeoJet:
     """Group jet ghat at z.base with act_on_jet(ghat, z) on the
     cross-section: exact when every stage is affine, float otherwise."""
-    jet, _ = _solve_frame(ps, n, cs, z)
-    return jet
+    return _solve_frame(ps, n, cs, z).jet
 
 
 # -- frame charts -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrameResult:
-    jet: DiffeoJet
-    exact: bool
 
 
 @dataclass
@@ -365,11 +369,10 @@ class MovingFrameChart:
         hit = self._cache.get(key)
         if hit is None:
             try:
-                jet, exact = _solve_frame(self.pseudogroup, self.order, self.cross_section, zn)
+                hit = _solve_frame(self.pseudogroup, self.order, self.cross_section, zn)
             except NoSolution:
                 self._outside.add(key)
                 raise
-            hit = FrameResult(jet, exact)
             self._cache[key] = hit
         return hit
 
@@ -382,8 +385,7 @@ def invariants(frame: MovingFrameChart, z: SubmanifoldJetPoint) -> list[tuple[st
     J^n row order.  Entries fixed by the cross-section equal their
     constants; the rest are differential invariants, constant along
     orbits through the chart."""
-    zn = z.truncate(frame.order)
-    moved = act_on_jet(frame.frame(zn), zn)
+    moved = frame.result(z).moved
     table = context_for(frame.cross_section.space).jn_table(frame.order)
     return [(name, moved.value(key)) for key, name, _ in table]
 

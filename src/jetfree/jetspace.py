@@ -206,6 +206,7 @@ class JetContext:
         self._vf_cap = -1
         self._jn: dict[int, tuple[tuple[CoordKey, str, int], ...]] = {}
         self._param: int | None = None
+        self._jac: tuple[tuple[Expr, ...], ...] | None = None
         self._W: list[list[Expr]] | None = None
         self._uhat: dict[tuple[int, MultiIndex], Expr] = {}
         self._qtot: dict[tuple[int, MultiIndex], Expr] = {}
@@ -363,15 +364,18 @@ class JetContext:
                 out = out + Expr.var(self.reg, nv) * e.diff(vid)
         return out
 
-    def total_jacobian(self) -> list[list[Expr]]:
-        """Matrix with (i, k) entry the lifted x^k-derivative of X^i."""
-        self.ensure_target(1)
-        self.ensure_sub(1)
-        p = self.space.p
-        return [
-            [self.lifted_total_derivative(self.expr(self.target_var(i, ())), k) for k in range(p)]
-            for i in range(p)
-        ]
+    def total_jacobian(self) -> tuple[tuple[Expr, ...], ...]:
+        """Matrix with (i, k) entry the lifted x^k-derivative of X^i, built
+        once per space; rows are tuples, as every caller shares it."""
+        if self._jac is None:
+            self.ensure_target(1)
+            self.ensure_sub(1)
+            p = self.space.p
+            X = [self.expr(self.target_var(i, ())) for i in range(p)]
+            self._jac = tuple(
+                tuple(self.lifted_total_derivative(Xi, k) for k in range(p)) for Xi in X
+            )
+        return self._jac
 
     def w_matrix(self) -> list[list[Expr]]:
         """Exact inverse of the total Jacobian; entry [k][j] multiplies the

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 from .errors import DivisionByZero, UnboundVariable, UnknownVariable
 

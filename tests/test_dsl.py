@@ -5,8 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from jetfree.detsys import declared_linear_system, fiber_basis, validate_consistency
 from jetfree.dsl import (
     MIXED_KINDS,
@@ -14,7 +12,6 @@ from jetfree.dsl import (
     ORDER_EXCEEDS_DECLARED,
     SYNTAX,
     UNKNOWN_COORDINATE,
-    ParseDiagnostic,
     SpecSource,
     bundled_spec_names,
     load_bundled_spec,

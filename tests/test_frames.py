@@ -9,7 +9,6 @@ import pytest
 
 from jetfree.detsys import PseudogroupSpec
 from jetfree.errors import (
-    NonTriangular,
     NoSolution,
     OrderMismatch,
     PreconditionViolation,

@@ -121,6 +121,23 @@ def test_report_is_byte_identical(index, tmp_path):
     assert run(want["argv"], tmp_path) == want
 
 
+def test_repeated_calls_in_one_process_leak_no_state(tmp_path):
+    """The whole list, then a usage error and a --timing run, then the
+    list again in reverse: the parser and every process-wide cache are
+    shared by all of these calls, and the reports must not notice."""
+    _write_points(tmp_path)
+    golden = _golden()
+    assert [run(g["argv"], tmp_path) for g in golden] == golden
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        cli.main(["freeness"])
+    assert exc.value.code == 2
+    timed = run(golden[0]["argv"] + ["--timing"], tmp_path)
+    assert timed["rc"] == golden[0]["rc"]
+    assert json.loads(timed["stdout"])["timing_ms"] is not None
+    again = [run(g["argv"], tmp_path) for g in reversed(golden)]
+    assert again == golden[::-1]
+
+
 if __name__ == "__main__":
     import tempfile
 

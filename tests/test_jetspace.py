@@ -18,6 +18,7 @@ from jetfree.jetspace import (
     mi_concat,
     mi_enumerate,
 )
+from jetfree.linalg import expr_inverse
 from jetfree.prolong import _point_env, prolong_at_point
 from jetfree.sampling import random_jet_point
 from jetfree.symkernel import scalar
@@ -267,6 +268,22 @@ def test_invariant_derivatives_commute_on_target():
     a = ctx.invariant_total_derivative(ctx.invariant_total_derivative(U, 0), 1)
     b = ctx.invariant_total_derivative(ctx.invariant_total_derivative(U, 1), 0)
     assert (a - b).is_zero()
+
+
+@pytest.mark.parametrize("make_ctx", [_ctx_pq11, _ctx_pq21])
+def test_total_jacobian_is_built_once_and_shared(make_ctx):
+    ctx = make_ctx()
+    jac = ctx.total_jacobian()
+    W = ctx.w_matrix()
+    assert ctx.total_jacobian() is jac
+    assert isinstance(jac, tuple) and all(isinstance(row, tuple) for row in jac)
+    p = ctx.space.p
+    fresh = [
+        [ctx.lifted_total_derivative(ctx.expr(ctx.target_var(i, ())), k) for k in range(p)]
+        for i in range(p)
+    ]
+    assert [list(row) for row in jac] == fresh
+    assert W == expr_inverse(jac)
 
 
 def test_jn_coords_row_order():
