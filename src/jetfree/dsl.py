@@ -30,10 +30,13 @@ that parses back to a structurally equal spec.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from .detsys import PseudogroupSpec
 from .errors import DivisionByZero
@@ -588,16 +591,28 @@ def serialize_spec(ps: PseudogroupSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_bundled_file(path) -> str:
+    return path.read_text(encoding="utf-8")
+
+
+@functools.cache
+def _bundled_texts() -> Mapping[str, str]:
+    """Name -> text of every spec shipped with the package, read on first
+    use and kept for the process."""
+    root = resources.files("jetfree") / "specs"
+    return MappingProxyType(
+        {p.name[:-4]: _read_bundled_file(p) for p in root.iterdir() if p.name.endswith(".psg")}
+    )
+
+
 def bundled_spec_names() -> list[str]:
     """Names of the pseudogroup specs shipped with the package."""
-    root = resources.files("jetfree") / "specs"
-    return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".psg"))
+    return sorted(_bundled_texts())
 
 
 def load_bundled_spec(name: str) -> SpecSource:
-    root = resources.files("jetfree") / "specs"
-    path = root / f"{name}.psg"
-    if not path.is_file():
+    text = _bundled_texts().get(name)
+    if text is None:
         known = ", ".join(bundled_spec_names())
         raise FileNotFoundError(f"no bundled spec {name!r} (have: {known})")
-    return SpecSource(path.read_text(encoding="utf-8"), origin=f"{name}.psg")
+    return SpecSource(text, origin=f"{name}.psg")

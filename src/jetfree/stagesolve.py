@@ -17,7 +17,7 @@ from __future__ import annotations
 from .errors import PreconditionViolation
 from .jetspace import CoordKey, context_for, coord_order, jet_keys
 from .linalg import solve_affine
-from .symkernel import Expr, Scalar, VarRegistry, scalar
+from .symkernel import Expr, Scalar, VarRegistry, poly_const, poly_mul, poly_sub, scalar
 
 
 def extract_affine(
@@ -94,16 +94,16 @@ class StagedSystem:
     base point of M.
 
     Stage k holds the prolonged determining equations of target order k
-    and the order-k normalization equations of the fixed coordinates
-    (numerators for k >= 1), with the base point and the given
-    submanifold-jet values u substituted.  Group-jet coefficients known
-    before any stage is solved (the top-order stabilizer fixes the
-    identity below its one stage) are substituted at the same time,
-    before numerators are taken, which keeps a high stage small.  The
-    prolonged determining system is the spec's own, built once per spec
-    and order (PseudogroupSpec.determining_closure), so the spec must
-    have determining equations; every stage is built on first use and
-    kept."""
+    and the order-k normalization equations of the fixed coordinates, with
+    the base point and the given submanifold-jet values u substituted:
+    N - v*D for a coordinate fixed to v whose moved value is N/D (D = 1
+    at order 0).  Group-jet coefficients known before any stage is
+    solved (the top-order stabilizer fixes the identity below its one
+    stage) are substituted at the same time, before N - v*D is formed,
+    which keeps a high stage small.  The prolonged determining system is
+    the spec's own, built once per spec and order
+    (PseudogroupSpec.determining_closure), so the spec must have
+    determining equations; every stage is built on first use and kept."""
 
     def __init__(self, ps, n: int, base: tuple, u=None, fixes=(), known=None):
         ctx = context_for(ps.space)
@@ -147,7 +147,9 @@ class StagedSystem:
             eqs = list(self.determining(k))
             for key, value in self.fixes:
                 if coord_order(key) == k:
-                    e = self.normalization(key, value)
-                    eqs.append(e.numerator() if k > 0 else e)
+                    # N/D is canonical, so N - v*D is the numerator of N/D - v
+                    moved = self.ctx.moved_coord(key).subst(self._env)
+                    num = poly_sub(moved.num, poly_mul(poly_const(value), moved.den))
+                    eqs.append(Expr(num, {(): scalar(1)}, moved.reg, _canonical=True))
             self._stages[k] = eqs
         return eqs

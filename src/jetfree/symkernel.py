@@ -793,9 +793,26 @@ class Expr:
         return Expr(num, den, self.reg)
 
     def subst(self, bindings: Mapping[VarId, "Expr"]) -> "Expr":
-        """Simultaneous substitution; unbound variables stay formal."""
+        """Simultaneous substitution; unbound variables stay formal.
+
+        Constants go into a polynomial in one pass: the result is a
+        polynomial over denominator 1, already canonical."""
         if not bindings:
             return self
+        if self.den == {(): _ONE}:
+            values = {}
+            for v in poly_vars(self.num):
+                target = bindings.get(v)
+                if target is None:
+                    continue
+                value = target.as_scalar()
+                if value is None or target.reg is not self.reg:
+                    break
+                values[v] = value
+            else:
+                if not values:
+                    return self
+                return Expr(_poly_subst_scalars(self.num, values), self.den, self.reg, _canonical=True)
         relevant = {v: e for v, e in bindings.items() if _poly_has(self.num, v) or _poly_has(self.den, v)}
         if not relevant:
             return self
@@ -865,6 +882,39 @@ def _poly_subst(p: Poly, bindings: Mapping[VarId, Expr], reg: VarRegistry) -> Ex
             term = term * pw
         total = total + term
     return total
+
+
+def _poly_subst_scalars(p: Poly, values: Mapping[VarId, Fraction]) -> Poly:
+    """p with the bound variables replaced by their values, summed term by
+    term in p's order like _poly_subst, without an Expr per term."""
+    out: Poly = {}
+    powcache: dict[tuple[int, int], Fraction] = {}
+    for m, c in p.items():
+        rest = []
+        for v, e in m:
+            value = values.get(v)
+            if value is None:
+                rest.append((v, e))
+                continue
+            key = (v, e)
+            pw = powcache.get(key)
+            if pw is None:
+                pw = value**e
+                powcache[key] = pw
+            c = c * pw
+        if not c:
+            continue
+        mono = tuple(rest)
+        s = out.get(mono)
+        if s is None:
+            out[mono] = c
+        else:
+            s = s + c
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return out
 
 
 def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 import jetfree.cli as cli
+import jetfree.dsl as dsl
 from jetfree.cli import main, point_from_document, point_to_document
 from jetfree.dsl import bundled_spec_names, load_bundled_spec
 from jetfree.errors import PreconditionViolation
@@ -129,6 +130,29 @@ def test_parse_bundled_names_resolve(capsys):
         rc, out, _ = _run(capsys, ["parse", name])
         assert rc == 0
         assert out.startswith("pseudogroup")
+
+
+def test_bundled_specs_are_read_once_per_process(capsys, tmp_path, monkeypatch):
+    reads = []
+    reader = dsl._read_bundled_file
+
+    def counting(path):
+        reads.append(path.name)
+        return reader(path)
+
+    monkeypatch.setattr(dsl, "_read_bundled_file", counting)
+    dsl._bundled_texts.cache_clear()
+    pt = _point_file(tmp_path, P_FREE)
+    for _ in range(2):
+        rc, out, _ = _run(capsys, ["freeness", "e1", "--order", "1", "--point", pt, "--json"])
+        assert rc == 0 and _report(out)["verdict"] == "LOCALLY_FREE"
+    assert sorted(reads) == ["e1.psg", "e2.psg", "e3.psg"]
+
+
+@pytest.mark.parametrize("name", ["e9", "../e1"])
+def test_unknown_bundled_name_lists_the_bundled_specs(name):
+    with pytest.raises(FileNotFoundError, match=r"\(have: e1, e2, e3\)"):
+        load_bundled_spec(name)
 
 
 def test_parse_accepts_psg_suffix_and_file_path(capsys, tmp_path):

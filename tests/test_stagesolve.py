@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from jetfree.dsl import SpecSource, load_bundled_spec, parse_spec
 from jetfree.errors import NoSolution, PreconditionViolation
-from jetfree.stagesolve import extract_affine, solve_affine_exprs
+from jetfree.frames import CrossSection
+from jetfree.freeness import _full_cross_section
+from jetfree.jetspace import coord_order, jet_keys
+from jetfree.prolong import SubmanifoldJetPoint, identity_jet
+from jetfree.stagesolve import StagedSystem, extract_affine, solve_affine_exprs
 from jetfree.symkernel import Expr, VarRegistry
+
+P2 = Path(__file__).parent / "specs" / "p2.psg"
 
 
 def _old_extract_affine(e, unknowns, reg, error=PreconditionViolation):
@@ -118,3 +126,73 @@ def test_solve_affine_exprs_solves_and_refuses():
         solve_affine_exprs([a - 1, a - 2], unknowns)
     with pytest.raises(PreconditionViolation):
         solve_affine_exprs([a * b], unknowns)
+
+
+# -- stage numerators against the quotient they are read off -----------------------
+
+
+def _spec(name):
+    src = SpecSource.from_file(P2) if name == "p2" else load_bundled_spec(name)
+    spec, diags = parse_spec(src)
+    assert spec is not None and not diags, name
+    return spec
+
+
+def _seeded_point(space, n, rng):
+    def value(nonzero):
+        while True:
+            v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            if v or not nonzero:
+                return v
+
+    # u, u.x and u.y nonzero keep every spec's point free
+    u = {key: value(len(key[1]) <= 1) for key in jet_keys(space.q, space.p, 0, n)}
+    return SubmanifoldJetPoint(space, n, tuple(value(False) for _ in range(space.p)), u)
+
+
+def _frame_section(name, n):
+    """The coordinate cross-section a frame of the benchmark normalizes
+    onto (p2: x, y and u.x fixed, u.y left free)."""
+    higher = {"u." + "x" * k: 0 for k in range(2, n + 1)}
+    return {
+        "e1": {"x": 0, "u.x": 1, **higher},
+        "e2": {"x": 0, "u.x": 1},
+        "e3": {"x": 0, "u": 1, "u.x": 0, **higher},
+        "p2": {"x": 0, "y": 0, "u.x": 1},
+    }[name]
+
+
+def _old_stage(system, k):
+    """Stage k as it was built before: each fixed coordinate's residual
+    N/D - v as a canonical quotient, then its numerator."""
+    eqs = list(system.determining(k))
+    for key, value in system.fixes:
+        if coord_order(key) == k:
+            e = system.normalization(key, value)
+            eqs.append(e.numerator() if k > 0 else e)
+    return eqs
+
+
+def _assert_stages_match(system, n):
+    for k in range(n + 1):
+        got, want = system.stage(k), _old_stage(system, k)
+        assert got == want
+        assert [list(e.num.items()) for e in got] == [list(e.num.items()) for e in want]
+
+
+STAGE_CASES = [(name, n) for name in ("e1", "e2", "e3") for n in range(1, 5)] + [("p2", 1), ("p2", 2)]
+
+
+@pytest.mark.parametrize("name,n", STAGE_CASES)
+def test_stage_numerators_match_the_old_build(name, n):
+    spec = _spec(name)
+    rng = random.Random(f"stage:{name}:{n}")
+    z = _seeded_point(spec.space, n, rng)
+    # the point's full cross-section, as isotropy solves it
+    _assert_stages_match(StagedSystem(spec, n, z.base, z.u, _full_cross_section(z)), n)
+    # the benchmark's frame section
+    cs = CrossSection.from_names(spec.space, n, _frame_section(name, n))
+    _assert_stages_match(StagedSystem(spec, n, z.base, z.u, cs.pairs), n)
+    # the identity known below the top order, as the top-order stabilizer sets it
+    lower = identity_jet(spec.space, n, z.base).truncate(n - 1).coeffs
+    _assert_stages_match(StagedSystem(spec, n, z.base, z.u, _full_cross_section(z), lower), n)

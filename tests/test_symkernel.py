@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetfree.errors import DivisionByZero, UnboundVariable, UnknownVariable
-from jetfree.symkernel import Expr, VarRegistry, poly_gcd
+from jetfree.jetspace import JetContext, SpaceSpec
+from jetfree.symkernel import Expr, VarRegistry, _poly_subst, poly_gcd
 
 
 def _ctx():
@@ -275,3 +277,96 @@ def test_diff_is_derivation(a, b):
     x = _VIDS[0]
     assert (a * b).diff(x) == a.diff(x) * b + a * b.diff(x)
     assert (a + b).diff(x) == a.diff(x) + b.diff(x)
+
+
+# -- constant substitution against the general path -------------------------------
+
+_SUBST_VALUES = (
+    Fraction(0),
+    Fraction(-1),
+    Fraction(-7, 3),
+    Fraction(5, 2),
+    Fraction(1, 10**12 + 39),
+    Fraction(-(10**9 + 7), 10**15 + 37),
+)
+
+
+def _jet_registry():
+    ctx = JetContext(SpaceSpec(("x", "y"), ("u",)))
+    ctx.ensure_target(2)
+    ctx.ensure_sub(2)
+    return ctx.reg, list(range(len(ctx.reg)))
+
+
+def _random_poly(rng, reg, vids):
+    e = Expr.const(reg, rng.choice((0, 1, -2, Fraction(3, 4))))
+    for _ in range(rng.randint(1, 6)):
+        term = Expr.const(reg, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        for vid in rng.sample(vids, rng.randint(0, 3)):
+            term = term * Expr.var(reg, vid) ** rng.randint(1, 3)
+        e = e + term
+    return e
+
+
+def _oracle_subst(e, bindings):
+    """The general substitution: numerator and denominator substituted
+    term by term through Expr arithmetic, then divided."""
+    relevant = {v: b for v, b in bindings.items() if v in e.variables()}
+    if not relevant:
+        return e
+    den = _poly_subst(e.den, relevant, e.reg)
+    if den.is_zero():
+        raise DivisionByZero("denominator vanishes identically after substitution")
+    return _poly_subst(e.num, relevant, e.reg) / den
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_constant_subst_matches_the_general_path(seed):
+    rng = random.Random(seed)
+    reg, vids = _jet_registry()
+    for _ in range(25):
+        e = _random_poly(rng, reg, vids)
+        if rng.random() < 0.4:
+            den = _random_poly(rng, reg, vids)
+            if den.is_zero():
+                continue
+            e = e / den
+        used = sorted(e.variables())
+        for picked in (rng.sample(used, rng.randint(0, len(used))), used, vids):
+            bindings = {v: Expr.const(reg, rng.choice(_SUBST_VALUES)) for v in picked}
+            try:
+                want = _oracle_subst(e, bindings)
+            except DivisionByZero:
+                with pytest.raises(DivisionByZero):
+                    e.subst(bindings)
+                continue
+            got = e.subst(bindings)
+            assert got == want
+            # same terms in the same order, so everything downstream is unchanged
+            assert list(got.num.items()) == list(want.num.items())
+            assert list(got.den.items()) == list(want.den.items())
+
+
+def test_constant_subst_into_a_vanishing_denominator_raises():
+    reg, v = _ctx()
+    x, u = _var(reg, v, "x"), _var(reg, v, "u")
+    e = (x + 1) / (x * x - u)
+    with pytest.raises(DivisionByZero):
+        e.subst({v["x"]: Expr.const(reg, 3), v["u"]: Expr.const(reg, 9)})
+    with pytest.raises(DivisionByZero):
+        (1 / (x - u)).subst({v["x"]: Expr.const(reg, Fraction(-2, 7)), v["u"]: Expr.const(reg, Fraction(-2, 7))})
+
+
+def test_constant_subst_into_a_polynomial_keeps_unbound_variables():
+    reg, v = _ctx()
+    x, u, z = _var(reg, v, "x"), _var(reg, v, "u"), _var(reg, v, "z")
+    e = x * x * u - 3 * x * z + u
+    got = e.subst({v["x"]: Expr.const(reg, -2), v["w"]: Expr.const(reg, 5)})
+    assert got == 4 * u + 6 * z + u and got.is_polynomial()
+    assert (x - x * u).subst({v["u"]: Expr.const(reg, 1)}).is_zero()
+    # a non-constant binding takes the general path
+    assert e.subst({v["x"]: u, v["z"]: Expr.const(reg, 0)}) == u**3 + u
+    # so does a constant of another registry, which that path refuses
+    other, _ = _ctx()
+    with pytest.raises(UnknownVariable):
+        e.subst({v["x"]: Expr.const(other, 2)})
