@@ -553,21 +553,12 @@ def fiber_rank(L, n: int, z0: tuple) -> int:
 
 def jet_satisfies(L, v: VectorFieldJet) -> bool:
     """Exact membership test of a vector-field jet in the solution space of
-    the order-truncated system at its base point."""
-    system = linear_system_of(L)
-    ctx = context_for(system.space)
-    env = {ctx.source_var(a): v.base[a] for a in range(system.space.m)}
-    for (a, B), val in v.coeffs.items():
-        env[ctx.vf_var(a, B)] = val
-    for e in system.equations_through(v.order):
-        try:
-            if e.eval(env) != 0:
-                return False
-        except (DivisionByZero, ZeroDivisionError) as exc:
-            raise CoefficientSingularity(
-                "coefficient denominator vanishes at the base point"
-            ) from exc
-    return True
+    the order-truncated system at its base point: every row of
+    evaluated_rows dotted with v's coefficients is zero.  Raises
+    CoefficientSingularity where a coefficient is singular there."""
+    rows, coords = evaluated_rows(L, v.order, v.base)
+    values = [v.coeffs[(a, B)] for a, B, _ in coords]
+    return all(sum(c * x for c, x in zip(row, values) if c) == 0 for row in rows)
 
 
 # -- validation ------------------------------------------------------------------------

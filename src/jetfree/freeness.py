@@ -11,7 +11,10 @@ instance:
   order (swept over seeded random rational lifts), and the mechanism
   behind it: an order-(n+1) kernel jet vanishing to order n produces
   witness jets that land in g^(n)|_z intersected with the order-n
-  kernel, forcing it to zero at free points;
+  kernel, forcing it to zero at free points.  The candidate kernel jets
+  are the kernel of the one-step block on K_{n+1}, the fiber jets
+  vanishing to order n: the same block a lift step ranks
+  (_lift_verdict), and the paper's obstruction to persistence;
 * trivial order-n isotropy persists at top order, checked by solving
   the linear system a top-order stabilizer coefficient must satisfy.
 
@@ -29,9 +32,8 @@ from .detsys import (
     FiberBasis,
     FreenessProblem,
     PseudogroupSpec,
-    basis_from_rows,
     combine_columns,
-    evaluated_rows,
+    jet_satisfies,
     vanishing_fiber_basis,
 )
 from .errors import (
@@ -44,7 +46,7 @@ from .errors import (
     SingularJet,
     SingularTotalJacobian,
 )
-from .jetspace import JetContext, MultiIndex, context_for, jet_keys, mi_concat
+from .jetspace import JetContext, MultiIndex, context_for, coord_order, jet_keys, mi_concat
 from .linalg import nullspace, rank
 from .prolong import (
     DiffeoJet,
@@ -53,11 +55,10 @@ from .prolong import (
     _point_env,
     act_on_jet,
     identity_jet,
-    prolong_at_point,
 )
 from .sampling import lift_jet_point
 from .stagesolve import StagedSystem
-from .symkernel import Expr, Scalar, scalar
+from .symkernel import Scalar, scalar
 
 LOCALLY_FREE = "LOCALLY_FREE"
 NOT_LOCALLY_FREE = "NOT_LOCALLY_FREE"
@@ -69,12 +70,20 @@ COUNTEREXAMPLE = "COUNTEREXAMPLE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def _combine(basis: FiberBasis, vec: list[Scalar]) -> VectorFieldJet:
-    """Linear combination of fiber basis elements with the given weights."""
-    first = basis.elements[0]
-    coeffs = dict.fromkeys(first.coeffs, scalar(0))
-    coeffs.update(combine_columns(basis.columns, vec))
-    return VectorFieldJet(first.space, basis.order, basis.base, coeffs)
+def _combine(
+    z: SubmanifoldJetPoint, columns: tuple[dict, ...], vec: list[Scalar]
+) -> VectorFieldJet:
+    """The vector-field jet of z's order at z's base point that combines the
+    columns (nonzero coefficients) with the given weights."""
+    m = z.space.m
+    coeffs = dict.fromkeys(jet_keys(m, m, 0, z.order), scalar(0))
+    coeffs.update(combine_columns(columns, vec))
+    return VectorFieldJet(z.space, z.order, z.base, coeffs)
+
+
+def _nonzero(v: VectorFieldJet) -> dict:
+    """The nonzero coefficients of v: its column."""
+    return {key: c for key, c in v.coeffs.items() if c != 0}
 
 
 # -- prolongation matrices and verdicts ------------------------------------------------
@@ -206,7 +215,7 @@ def local_freeness(ps, n: int, z: SubmanifoldJetPoint) -> FreenessVerdict:
         pm = prolongation_matrix(problem, n, z)
         fdim = pm.basis.dimension
         kern = nullspace(pm.entries, fdim)
-        kernel_basis = [_combine(pm.basis, vec) for vec in kern]
+        kernel_basis = [_combine(pm.point, pm.basis.columns, vec) for vec in kern]
         kdim = len(kern)
         free = LOCALLY_FREE if kdim == 0 else NOT_LOCALLY_FREE
         verdict = FreenessVerdict(n, pm.point, fdim, kdim, kernel_basis, fdim - kdim, free)
@@ -228,7 +237,7 @@ def isotropy_algebra(ps, n: int, z: SubmanifoldJetPoint) -> FiberBasis:
         return FiberBasis(zn.base, n, [])
     _, entries = _restricted_matrix(ctx, zn, vb.columns)
     kern = nullspace(entries, vb.dimension)
-    return FiberBasis(zn.base, n, [_combine(vb, vec) for vec in kern])
+    return FiberBasis(zn.base, n, [_combine(zn, vb.columns, vec) for vec in kern])
 
 
 # -- persistence sweeps -----------------------------------------------------------------
@@ -328,57 +337,20 @@ def persistence_sweep(
 # -- the kernel-jet witness mechanism ----------------------------------------------------
 
 
-def frozen_total_derivative(e: Expr, i: int, z: SubmanifoldJetPoint) -> Expr:
-    """Total derivative along x^i with the first-order dependent slopes
-    frozen at the point: D_{x^i} + sum_a u_(o,i)^a D_{u^a}."""
-    space = z.space
-    if not 0 <= i < space.p:
-        raise PreconditionViolation(f"independent slot {i} out of range")
-    if z.order < 1:
-        raise PreconditionViolation("need the first-order slopes of the point")
-    ctx = context_for(space)
-    out = ctx.total_derivative(e, i)
-    for al in range(space.q):
-        u0 = z.u[(al, (i,))]
-        out = out + ctx.const(u0) * ctx.total_derivative(e, space.p + al)
-    return out
-
-
-def kernel_equations(n: int, z: SubmanifoldJetPoint) -> list[Expr]:
-    """Linear equations an order-(n+1) fiber jet vanishing to order n must
-    satisfy to prolong to zero: all (n+1)-fold frozen total derivatives of
-    the frozen characteristic components."""
-    space = z.space
-    ctx = context_for(space)
-    ctx.ensure_vf(n + 1)
-    out = []
-    for al, J in jet_keys(space.q, space.p, n + 1, n + 1):
-        e = ctx.expr(ctx.vf_var(space.p + al, ()))
-        for j in range(space.p):
-            e = e - ctx.const(z.u[(al, (j,))]) * ctx.expr(ctx.vf_var(j, ()))
-        for i in J:
-            e = frozen_total_derivative(e, i, z)
-        out.append(e)
-    return out
-
-
 def witness_candidates(ps, n: int, z: SubmanifoldJetPoint) -> list[VectorFieldJet]:
-    """Basis of order-(n+1) fiber jets that vanish to order n and satisfy
-    the kernel equations at z^(n+1): the candidate obstructions to
+    """Basis of the order-(n+1) fiber jets that vanish to order n and that
+    the prolonged action at z^(n+1) kills: the kernel, on K_{n+1}
+    (FreenessProblem.vanishing_columns), of the one-step block that
+    _lift_verdict ranks.  These are the candidate obstructions to
     persistence.  Empty (only v = 0) at free points."""
     problem = FreenessProblem.of(ps)
     if z.order < n + 1:
         raise OrderMismatch("need the point to order n+1")
     z1 = z.truncate(n + 1)
-    rows, coords = evaluated_rows(problem, n + 1, z1.base)
-    for e in kernel_equations(n, z1):
-        rows.append([e.diff(vid).as_scalar() for _, _, vid in coords])
-    for idx, (_, B, _) in enumerate(coords):
-        if len(B) <= n:
-            row = [scalar(0)] * len(coords)
-            row[idx] = scalar(1)
-            rows.append(row)
-    return basis_from_rows(problem.space, n + 1, z1.base, rows, coords).elements
+    ctx = context_for(problem.space)
+    K = problem.vanishing_columns(n, n + 1, z1.base)
+    block = _products(ctx.phihat_plan(n + 1, above=n).evaluate(_point_env(ctx, z1)), K)
+    return [_combine(z1, K, vec) for vec in nullspace(block, len(K))]
 
 
 @dataclass
@@ -391,23 +363,15 @@ class WitnessReport:
     forced_zero: bool
 
 
-def _pr_image(ctx: JetContext, z: SubmanifoldJetPoint, v: VectorFieldJet) -> list[Scalar]:
-    mat, _, cols = prolong_at_point(ctx, z)
-    return [
-        sum((c * v.coeffs[key] for c, key in zip(line, cols)), scalar(0))
-        for line in mat
-    ]
-
-
 def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> WitnessReport:
     """Run the persistence mechanism on one candidate kernel jet.
 
-    Checks the preconditions (v of order n+1, vanishing to order n,
-    satisfying the prolonged linear system and the kernel equations at
-    z^(n+1)), builds the witness jets from v's top coefficients, and
-    verifies each lies in the order-n fiber intersected with the kernel
-    of the prolonged differential.  When the order-n projection of the
-    point is locally free this forces every witness, hence v, to zero.
+    Checks the preconditions (v of order n+1, vanishing to order n, in
+    the order-(n+1) fiber, and killed by the one-step block of
+    witness_candidates at z^(n+1)), builds the witness jets from v's top
+    coefficients, and verifies each lies in the order-n fiber intersected
+    with the kernel of the prolonged differential at z^(n).  When z^(n)
+    is locally free this forces every witness, hence v, to zero.
     """
     problem = FreenessProblem.of(ps)
     space = problem.space
@@ -423,19 +387,15 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
                 "candidate does not vanish to order n: "
                 f"coefficient {(a, B)} = {val}"
             )
+    if not jet_satisfies(problem, v):
+        raise PreconditionViolation(f"candidate is not in the order-{n + 1} fiber")
     ctx = context_for(space)
-    env = {ctx.source_var(a): z1.base[a] for a in range(space.m)}
-    for (a, B), val in v.coeffs.items():
-        env[ctx.vf_var(a, B)] = val
-    for e in problem.system.equations_through(n + 1):
-        if e.eval(env) != 0:
+    lines = ctx.phihat_plan(n + 1, above=n).evaluate(_point_env(ctx, z1))
+    top_rows = [name for key, name, _ in ctx.jn_table(n + 1) if coord_order(key) > n]
+    for name, (val,) in zip(top_rows, _products(lines, (_nonzero(v),))):
+        if val != 0:
             raise PreconditionViolation(
-                f"candidate violates the prolonged determining equation {e}"
-            )
-    for e in kernel_equations(n, z1):
-        if e.eval(env) != 0:
-            raise PreconditionViolation(
-                f"candidate violates the kernel equation {e}"
+                f"candidate is not in the kernel of the one-step block: its {name} row gives {val}"
             )
 
     p, q, m = space.p, space.q, space.m
@@ -459,20 +419,16 @@ def witness_check(ps, n: int, z: SubmanifoldJetPoint, v: VectorFieldJet) -> Witn
         w = make(lambda b, C, e=e_slot: v.coeffs[(b, mi_concat(C, e))])
         witnesses.append((f"what_{space.source_names[e_slot]}", w))
 
-    fiber_equations = problem.system.equations_through(n)
     for label, w in witnesses:
-        wenv = {ctx.source_var(a): z1.base[a] for a in range(m)}
-        for (a, B), val in w.coeffs.items():
-            wenv[ctx.vf_var(a, B)] = val
-        for e in fiber_equations:
-            if e.eval(wenv) != 0:
+        if not jet_satisfies(problem, w):
+            raise PreconditionViolation(f"witness {label} left the order-{n} fiber")
+        rows, image = _restricted_matrix(ctx, zn, (_nonzero(w),))
+        for row, (val,) in zip(rows, image):
+            if val != 0:
                 raise PreconditionViolation(
-                    f"witness {label} left the fiber: violates {e}"
+                    f"witness {label} is not in the kernel of the prolonged differential: "
+                    f"its {row[-1]} row gives {val}"
                 )
-        if any(val != 0 for val in _pr_image(ctx, zn, w)):
-            raise PreconditionViolation(
-                f"witness {label} is not in the kernel of the prolonged differential"
-            )
 
     free = local_freeness(problem, n, zn).is_free
     zero = all(w.is_zero() for _, w in witnesses) and v.is_zero()

@@ -22,7 +22,7 @@ numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from math import isfinite
 
@@ -160,35 +160,14 @@ class VectorFieldJet:
 
 
 @dataclass
-class GroupoidElement:
-    """A submanifold jet paired with a diffeomorphism jet based at the
-    same point of M; ``act`` applies the second to the first."""
-
-    point: SubmanifoldJetPoint
-    jet: DiffeoJet
-
-    def __post_init__(self):
-        if self.point.space != self.jet.space:
-            raise BasePointMismatch("point and jet live over different spaces")
-        if self.point.base != self.jet.source:
-            raise BasePointMismatch("point and jet have different base points")
-
-    def act(self) -> SubmanifoldJetPoint:
-        return act_on_jet(self.jet, self.point)
-
-
-@dataclass
 class ProlongedVF:
-    """Components of a prolonged vector field on submanifold jet space,
-    keyed by the coordinates of J^n (see JetContext.jn_table).  For the
-    formal general field the components are linear homogeneous in the
-    zeta-jet variables; for a concrete field they are expressions in
-    (x, u-jets)."""
+    """Components of a concrete prolonged vector field on submanifold jet
+    space, keyed by the coordinates of J^n (see JetContext.jn_table): the
+    components are expressions in (x, u-jets)."""
 
     space: SpaceSpec
     order: int
     components: dict[tuple, Expr]
-    general: bool = field(default=False)
 
 
 # -- construction helpers ------------------------------------------------------
@@ -416,15 +395,7 @@ def prolong_vector_field(ctx: JetContext, components, n: int) -> ProlongedVF:
     for a, B, vid in ctx.vf_coords(n):
         submap[vid] = _partial(components[a], src, B)
     comps = {key: ctx.prolonged_coord(key).subst(submap) for key, _, _ in ctx.jn_table(n)}
-    return ProlongedVF(ctx.space, n, comps, general=False)
-
-
-def general_prolonged_vf(ctx: JetContext, n: int) -> ProlongedVF:
-    """Formal prolongation with the vector-field jet left symbolic; each
-    component is linear homogeneous in the zeta-variables."""
-    ctx.ensure_vf(n)
-    comps = {key: ctx.prolonged_coord(key) for key, _, _ in ctx.jn_table(n)}
-    return ProlongedVF(ctx.space, n, comps, general=True)
+    return ProlongedVF(ctx.space, n, comps)
 
 
 def prolong_at_point(ctx: JetContext, z: SubmanifoldJetPoint):
@@ -485,7 +456,7 @@ def prolonged_bracket(ctx: JetContext, A: ProlongedVF, B: ProlongedVF) -> Prolon
             e = e + A.components[ckey] * B.components[key].diff(dvid)
             e = e - B.components[ckey] * A.components[key].diff(dvid)
         comps[key] = e
-    return ProlongedVF(A.space, A.order, comps, general=False)
+    return ProlongedVF(A.space, A.order, comps)
 
 
 # -- numeric flow (validation only) ---------------------------------------------------

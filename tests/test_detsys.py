@@ -29,9 +29,9 @@ from jetfree.errors import (
     PreconditionViolation,
     RegularityWarning,
 )
-from jetfree.jetspace import SpaceSpec
+from jetfree.jetspace import SpaceSpec, jet_keys
 from jetfree.linalg import rank
-from jetfree.prolong import context_for
+from jetfree.prolong import VectorFieldJet, context_for
 from jetfree.sampling import lift_jet_point, random_jet_point, sample_group_jet
 from jetfree.symkernel import scalar
 
@@ -411,6 +411,47 @@ def test_row_prolongation_matches_expr_closure(name):
         oracle = _expr_close(ctx, L.equations, L.order + k)
         assert list(Lk.equations) == oracle
         assert Lk.rows == LinearDeterminingSystem(L.space, L.order + k, oracle).rows
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_jet_satisfies_matches_equation_evaluation(name):
+    """Membership read from the evaluated rows agrees with evaluating every
+    equation of the order-n truncation at the jet, on fiber elements, on
+    perturbed fiber elements and on random jets."""
+    L = _system(name)
+    ctx = context_for(L.space)
+    m = L.space.m
+    rng = random.Random(13)
+    outcomes = set()
+    for n in range(L.order, L.order + 2):
+        for _ in range(3):
+            z0 = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m))
+            keys = jet_keys(m, m, 0, n)
+            jets = list(fiber_basis(L, n, z0).elements)
+            for v in list(jets):
+                bumped = dict(v.coeffs)
+                bumped[rng.choice(keys)] += 1
+                jets.append(VectorFieldJet(L.space, n, z0, bumped))
+            random_coeffs = {key: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for key in keys}
+            jets.append(VectorFieldJet(L.space, n, z0, random_coeffs))
+            for v in jets:
+                env = {ctx.source_var(a): z0[a] for a in range(m)}
+                env.update({ctx.vf_var(a, B): c for (a, B), c in v.coeffs.items()})
+                expect = all(e.eval(env) == 0 for e in L.equations_through(n))
+                assert jet_satisfies(L, v) == expect
+                outcomes.add(expect)
+    assert outcomes == {True, False}
+
+
+def test_jet_satisfies_raises_on_a_singular_coefficient():
+    ctx = _ctx()
+    u = ctx.expr(ctx.source_var(1))
+    zu = ctx.expr(ctx.vf_var(1, ()))
+    L = LinearDeterminingSystem(SP, 0, (zu / u,))
+    zero = dict.fromkeys(jet_keys(SP.m, SP.m, 0, 1), Fraction(0))
+    with pytest.raises(CoefficientSingularity):
+        jet_satisfies(L, VectorFieldJet(SP, 1, (Fraction(2), Fraction(0)), zero))
+    assert jet_satisfies(L, VectorFieldJet(SP, 1, (Fraction(2), Fraction(1)), zero))
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

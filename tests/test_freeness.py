@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from jetfree.detsys import FreenessProblem, LinearDeterminingSystem, PseudogroupSpec
-from jetfree.dsl import load_bundled_spec, parse_spec
+from jetfree.detsys import (
+    FreenessProblem,
+    LinearDeterminingSystem,
+    PseudogroupSpec,
+    combine_columns,
+    evaluated_rows,
+)
+from jetfree.dsl import SpecSource, load_bundled_spec, parse_spec
 from jetfree.errors import (
     CoefficientSingularity,
     NotFreeAtBase,
@@ -23,10 +30,9 @@ from jetfree.freeness import (
     PERSISTS,
     TRIVIAL,
     UNDECIDED,
-    frozen_total_derivative,
+    _products,
     isotropy_algebra,
     isotropy_jets_triangular,
-    kernel_equations,
     local_freeness,
     persistence_sweep,
     prolongation_matrix,
@@ -34,9 +40,9 @@ from jetfree.freeness import (
     witness_candidates,
     witness_check,
 )
-from jetfree.jetspace import SpaceSpec, mi_enumerate
-from jetfree.linalg import rank
-from jetfree.prolong import SubmanifoldJetPoint, context_for, prolong_at_point
+from jetfree.jetspace import SpaceSpec, jet_keys, mi_enumerate
+from jetfree.linalg import nullspace, rank
+from jetfree.prolong import SubmanifoldJetPoint, _point_env, context_for, prolong_at_point
 from jetfree.sampling import lift_jet_point, random_jet_point
 
 SP = SpaceSpec(("x",), ("u",))
@@ -304,6 +310,43 @@ def test_kernel_projection_lands_in_lower_kernel():
 
 
 # -- frozen total derivatives and kernel equations -----------------------------------------
+#
+# The symbolic build of the witness kernel, kept here as the oracle for
+# witness_candidates, which reads the one-step lift block instead.
+
+
+def frozen_total_derivative(e, i, z):
+    """Total derivative along x^i with the first-order dependent slopes
+    frozen at the point: D_{x^i} + sum_a u_(o,i)^a D_{u^a}."""
+    space = z.space
+    if not 0 <= i < space.p:
+        raise PreconditionViolation(f"independent slot {i} out of range")
+    if z.order < 1:
+        raise PreconditionViolation("need the first-order slopes of the point")
+    ctx = context_for(space)
+    out = ctx.total_derivative(e, i)
+    for al in range(space.q):
+        u0 = z.u[(al, (i,))]
+        out = out + ctx.const(u0) * ctx.total_derivative(e, space.p + al)
+    return out
+
+
+def kernel_equations(n, z):
+    """Linear equations an order-(n+1) fiber jet vanishing to order n must
+    satisfy to prolong to zero: all (n+1)-fold frozen total derivatives of
+    the frozen characteristic components."""
+    space = z.space
+    ctx = context_for(space)
+    ctx.ensure_vf(n + 1)
+    out = []
+    for al, J in jet_keys(space.q, space.p, n + 1, n + 1):
+        e = ctx.expr(ctx.vf_var(space.p + al, ()))
+        for j in range(space.p):
+            e = e - ctx.const(z.u[(al, (j,))]) * ctx.expr(ctx.vf_var(j, ()))
+        for i in J:
+            e = frozen_total_derivative(e, i, z)
+        out.append(e)
+    return out
 
 
 def test_frozen_total_derivative_on_base_coordinates():
@@ -380,6 +423,71 @@ def test_witness_check_zero_candidate_passes():
     assert report.forced_zero
 
 
+def _kernel_points(space, n, rng):
+    """Seeded order-n points: free (every first-order slope nonzero), flat
+    (every first-order slope zero) and unconstrained random points."""
+    slopes = jet_keys(space.q, space.p, 1, 1)
+    for kind in ("free", "flat", "random"):
+        for _ in range(4):
+            z = random_jet_point(space, n, rng, bound=5)
+            for key in slopes:
+                if kind == "flat":
+                    z.u[key] = Fraction(0)
+                elif kind == "free" and z.u[key] == 0:
+                    z.u[key] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+            yield z
+
+
+def _oracle_witness_kernel(problem, n, z):
+    """Order-(n+1) fiber jets at z vanishing to order n that satisfy the
+    kernel equations: the witness kernel built from symbolic equations."""
+    rows, coords = evaluated_rows(problem, n + 1, z.base)
+    for e in kernel_equations(n, z):
+        rows.append([e.diff(vid).as_scalar() for _, _, vid in coords])
+    for idx, (_, B, _) in enumerate(coords):
+        if len(B) <= n:
+            rows.append([Fraction(int(i == idx)) for i in range(len(coords))])
+    return [{(a, B): c for (a, B, _), c in zip(coords, vec)} for vec in nullspace(rows, len(coords))]
+
+
+def _lift_block_kernel(problem, n, z):
+    """Kernel, in K_{n+1}, of the one-step lift block _lift_verdict ranks."""
+    ctx = context_for(problem.space)
+    K = problem.vanishing_columns(n, n + 1, z.base)
+    block = _products(ctx.phihat_plan(n + 1, above=n).evaluate(_point_env(ctx, z)), K)
+    return [combine_columns(K, vec) for vec in nullspace(block, len(K))]
+
+
+def test_witness_kernel_is_the_lift_block_kernel():
+    # the kernel equations and the lift step's block are two builds of the
+    # paper's obstruction to persistence: their kernels are one space
+    rng = random.Random(17)
+    p2 = parse_spec(SpecSource.from_file(Path(__file__).parent / "specs" / "p2.psg"))[0]
+    cases = [(parse_spec(load_bundled_spec(name))[0], 1) for name in ("e1", "e2", "e3")]
+    cases.append((p2, 0))
+    dims = []
+    for spec, extra in cases:
+        problem = FreenessProblem.of(spec)
+        keys = jet_keys(spec.space.m, spec.space.m, 0, spec.effective_order + extra + 1)
+        for n in range(spec.effective_order, spec.effective_order + extra + 1):
+            for z in _kernel_points(spec.space, n + 1, rng):
+                bases = (
+                    [c.coeffs for c in witness_candidates(problem, n, z)],
+                    _oracle_witness_kernel(problem, n, z),
+                    _lift_block_kernel(problem, n, z),
+                )
+                vectors = [[v.get(key, 0) for key in keys] for v in bases[0]]
+                dim = len(vectors)
+                for basis in bases[1:]:
+                    other = [[v.get(key, 0) for key in keys] for v in basis]
+                    assert rank(other) == dim == rank(vectors) == rank(vectors + other), (
+                        spec.name, n, z,
+                    )
+                dims.append(dim)
+    assert len(dims) >= 80
+    assert {0, 1, 2} <= set(dims)
+
+
 def test_witness_check_rejects_bad_candidates():
     from jetfree.prolong import VectorFieldJet
 
@@ -397,6 +505,22 @@ def test_witness_check_rejects_bad_candidates():
     coeffs[(1, (0, 0))] = Fraction(1)  # violates zeta{u} = 0
     with pytest.raises(PreconditionViolation):
         witness_check(_e1(), 1, z, VectorFieldJet(SP, 2, z.base, coeffs))
+
+
+def test_witness_check_rejects_a_fiber_jet_off_the_kernel():
+    # a nonzero fiber jet vanishing to order 1 at a free point: it passes
+    # the fiber and vanishing checks, so only the kernel condition rejects it
+    from jetfree.prolong import VectorFieldJet
+
+    problem = FreenessProblem.of(_e1())
+    z = _pt(0, 0, 2, 1)
+    (column,) = problem.vanishing_columns(1, 2, z.base)
+    coeffs = dict.fromkeys(jet_keys(SP.m, SP.m, 0, 2), Fraction(0))
+    coeffs.update(column)
+    v = VectorFieldJet(SP, 2, z.base, coeffs)
+    assert not v.is_zero()
+    with pytest.raises(PreconditionViolation, match="candidate.*kernel"):
+        witness_check(problem, 1, z, v)
 
 
 # -- top-order stabilizer ------------------------------------------------------------------
