@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .detsys import PseudogroupSpec
+from .detsys import PseudogroupSpec, validate_consistency
 from .dsl import ParseDiagnostic, SpecSource, load_bundled_spec, parse_spec, serialize_spec
 from .errors import JetfreeError, NoSolution, NotTransversal, PreconditionViolation
 from .frames import CrossSection, MovingFrameChart, invariants
@@ -189,14 +189,22 @@ SPEC_CACHE_SIZE = 8
 def _parsed(text: str) -> tuple[PseudogroupSpec | None, tuple[ParseDiagnostic, ...]]:
     """parse_spec of the spec text, kept for the most recently used
     texts.  A spec owns its linear system and prolongations, so commands
-    on one spec text share that work; point state is never kept."""
+    on one spec text share that work; point state is never kept.  A spec
+    with both system forms is first checked for their agreement at a few
+    sampled points of its base order (validate_consistency); a spec that
+    fails raises PreconditionViolation and is not kept."""
     spec, diags = parse_spec(text)
+    if spec is not None and not any(d.severity == "error" for d in diags):
+        validate_consistency(spec, points=10, extra_orders=0)
     return spec, tuple(diags)
 
 
 def _require_spec(arg: str) -> PseudogroupSpec:
     src = _read_source(arg)
-    spec, diags = _parsed(src.text)
+    try:
+        spec, diags = _parsed(src.text)
+    except PreconditionViolation as exc:
+        raise PreconditionViolation(f"{src.origin}: {exc}") from exc
     errors = [d for d in diags if d.severity == "error"]
     if spec is None or errors:
         rendered = "; ".join(d.render(src.origin) for d in errors) or "unparseable spec"

@@ -5,7 +5,8 @@ diffeomorphism jets, an infinitesimal system L(z, zeta^(n*)) = 0 on
 vector-field jets, or both.  Linearizing the determining equations at
 the identity jet produces an infinitesimal system; when both forms are
 supplied, :func:`validate_consistency` confirms at sampled points that
-they cut out the same spaces.
+they cut out the same spaces; the CLI runs it once on each spec text it
+loads, so a spec whose two forms disagree is refused.
 
 Both kinds of system prolong by total differentiation.  Evaluating a
 prolonged linear system at a base point and solving exactly gives the
@@ -15,7 +16,6 @@ computation consumes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -25,11 +25,10 @@ from .errors import (
     DivisionByZero,
     NonRationalDependence,
     PreconditionViolation,
-    RegularityWarning,
     UnboundVariable,
 )
 from .jetspace import JetContext, MultiIndex, Row, SpaceSpec, context_for, jet_keys, mi_concat
-from .linalg import nullspace, rank
+from .linalg import nullspace
 from .prolong import VectorFieldJet
 from .symkernel import Expr, Scalar, scalar
 
@@ -515,18 +514,6 @@ def evaluated_rows(
     return rows, coords
 
 
-def basis_from_rows(
-    space: SpaceSpec, n: int, z0: tuple, rows: list, coords: list
-) -> FiberBasis:
-    """Null-space basis of rows over the zeta-jet coordinates coords, as
-    order-n vector-field jets at z0."""
-    elements = []
-    for vec in nullspace(rows, len(coords)):
-        coeffs = {(a, B): vec[i] for i, (a, B, _) in enumerate(coords)}
-        elements.append(VectorFieldJet(space, n, tuple(z0), coeffs))
-    return FiberBasis(tuple(z0), n, elements)
-
-
 def fiber_basis(L, n: int, z0: tuple) -> FiberBasis:
     """Exact null-space basis of the evaluated linear system over the
     zeta-jet coordinates of order <= n.  The system is prolonged to
@@ -534,21 +521,12 @@ def fiber_basis(L, n: int, z0: tuple) -> FiberBasis:
     order are not evaluated.  L is anything linear_system_of accepts; the
     solve itself is always done afresh."""
     rows, coords = evaluated_rows(L, n, z0)
-    return basis_from_rows(L.space, n, z0, rows, coords)
-
-
-def vanishing_fiber_basis(L, n: int, z0: tuple) -> FiberBasis:
-    """Basis of the subspace of the fiber whose order-0 components vanish."""
-    rows, coords = evaluated_rows(L, n, z0)
-    for a in range(L.space.m):
-        rows.append([scalar(1) if (ca == a and B == ()) else scalar(0) for ca, B, _ in coords])
-    return basis_from_rows(L.space, n, z0, rows, coords)
-
-
-def fiber_rank(L, n: int, z0: tuple) -> int:
-    """Rank of the evaluated system at z0 (fiber codimension)."""
-    rows, _ = evaluated_rows(L, n, z0)
-    return rank(rows)
+    space, base = L.space, tuple(z0)
+    elements = []
+    for vec in nullspace(rows, len(coords)):
+        coeffs = {(a, B): vec[i] for i, (a, B, _) in enumerate(coords)}
+        elements.append(VectorFieldJet(space, n, base, coeffs))
+    return FiberBasis(base, n, elements)
 
 
 def jet_satisfies(L, v: VectorFieldJet) -> bool:
@@ -597,40 +575,20 @@ def validate_consistency(
                 fb = fiber_basis(dec, n, z0)
             except CoefficientSingularity:
                 continue
+            at = ", ".join(f"{name} = {v}" for name, v in zip(ds.space.source_names, z0))
             if fa.dimension != fb.dimension:
                 raise PreconditionViolation(
-                    f"linearized and declared systems disagree at {z0}, order {n}: "
+                    f"linearized and declared systems disagree at {at}, order {n}: "
                     f"dimensions {fa.dimension} vs {fb.dimension}"
                 )
             for v in fa.elements:
                 if not jet_satisfies(dec, v):
                     raise PreconditionViolation(
-                        f"linearized fiber is not contained in the declared fiber at {z0}"
+                        f"linearized fiber is not contained in the declared fiber at {at}"
                     )
             for v in fb.elements:
                 if not jet_satisfies(lin, v):
                     raise PreconditionViolation(
-                        f"declared fiber is not contained in the linearized fiber at {z0}"
+                        f"declared fiber is not contained in the linearized fiber at {at}"
                     )
             checked += 1
-
-
-def check_regularity(L, n: int, points: list[tuple]) -> list[int]:
-    """Evaluate the system rank at each point; warn when the rank jumps
-    between points (the pseudogroup bundle may fail to be a smooth,
-    embedded subbundle there).  Returns the rank profile."""
-    ranks = []
-    for z0 in points:
-        try:
-            ranks.append(fiber_rank(L, n, z0))
-        except CoefficientSingularity:
-            ranks.append(-1)
-    good = [r for r in ranks if r >= 0]
-    if good and any(r != good[0] for r in good):
-        warnings.warn(
-            f"system rank at order {n} varies across sampled points "
-            f"(profile {ranks}); the jet bundle may not be regular",
-            RegularityWarning,
-            stacklevel=2,
-        )
-    return ranks

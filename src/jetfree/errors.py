@@ -80,8 +80,3 @@ class DomainMismatch(JetfreeError):
 
 class StepFailure(JetfreeError):
     """Numeric integrator diverged."""
-
-
-class RegularityWarning(UserWarning):
-    """Evaluated system rank varies across sampled points; the jet bundle
-    may fail to be a smooth embedded subbundle."""

@@ -16,11 +16,9 @@ Gauss-Newton fallback (flagged inexact) otherwise.  A frame chart caches
 solved points and records points where solving fails as outside the
 chart.
 
-Verification helpers re-check, on seeded samples, the equivariance law
-ghat(g.z) o g = ghat(z), the invariance of the non-normalized
-coordinates of act_on_jet(ghat(z), z), and the compatibility of frames
-built from nested cross-sections (the order-n truncation of the higher
-frame equals the lower frame at the projected point).
+A verification helper re-checks, on seeded samples, the compatibility
+of frames built from nested cross-sections (the order-n truncation of
+the higher frame equals the lower frame at the projected point).
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ from .errors import (
 from .freeness import prolongation_matrix
 from .jetspace import CoordKey, MultiIndex, SpaceSpec, context_for, jet_keys
 from .linalg import rank, solve_square
-from .prolong import DiffeoJet, SubmanifoldJetPoint, act_on_jet, identity_jet, jet_compose
-from .sampling import random_jet_point, sample_group_jet
+from .prolong import DiffeoJet, SubmanifoldJetPoint, act_on_jet, identity_jet
+from .sampling import random_jet_point
 from .stagesolve import StagedSystem
 from .symkernel import Expr, Scalar, scalar
 
@@ -132,18 +130,6 @@ class TransversalityReport:
     orbit_dimension: int
     stacked_rank: int
     transversal: bool
-
-    @property
-    def rank_deficit(self) -> int:
-        """Shortfall of the stacked matrix from spanning the tangent space."""
-        return self.jet_dimension - self.stacked_rank
-
-    @property
-    def intersection_dimension(self) -> int:
-        """Overlap of the complementary coordinate subspace with the orbit
-        directions; 0 exactly when the sum is direct."""
-        free = self.jet_dimension - self.fixed_count
-        return free + self.orbit_dimension - self.stacked_rank
 
 
 def check_transversality(
@@ -323,14 +309,6 @@ def _solve_frame(
     return FrameResult(jet, False, _verify_frame(cs, jet, zn, _VERIFY_TOLERANCE))
 
 
-def construct_frame(
-    ps: PseudogroupSpec, n: int, cs: CrossSection, z: SubmanifoldJetPoint
-) -> DiffeoJet:
-    """Group jet ghat at z.base with act_on_jet(ghat, z) on the
-    cross-section: exact when every stage is affine, float otherwise."""
-    return _solve_frame(ps, n, cs, z).jet
-
-
 # -- frame charts -----------------------------------------------------------------
 
 
@@ -399,48 +377,6 @@ def _jets_agree(a: DiffeoJet, b: DiffeoJet, tol: float) -> bool:
     if a.is_exact() and b.is_exact():
         return a.coeffs == b.coeffs
     return all(abs(float(a.coeffs[k]) - float(b.coeffs[k])) <= tol for k in a.coeffs)
-
-
-@dataclass
-class EquivarianceReport:
-    order: int
-    samples: int
-    checked: int
-    excluded: int
-    seed: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_equivariance(
-    frame: MovingFrameChart, samples: int = 25, seed: int = 0
-) -> EquivarianceReport:
-    """Sampled check of ghat(g.z) o g = ghat(z) for group jets g near the
-    identity; samples that leave the chart (either z or g.z) are
-    excluded and counted, not failures."""
-    rng = random.Random(seed)
-    ps = frame.pseudogroup
-    n = frame.order
-    checked = excluded = 0
-    violations: list[tuple] = []
-    for _ in range(samples):
-        z = random_jet_point(ps.space, n, rng, bound=5)
-        try:
-            gz = frame.frame(z)
-            g = sample_group_jet(ps, n, z.base, rng)
-            moved = act_on_jet(g, z)
-            gw = frame.frame(moved)
-        except (NoSolution, SingularJet, SingularTotalJacobian):
-            excluded += 1
-            continue
-        lhs = jet_compose(gw, g)
-        if not _jets_agree(lhs, gz, _VERIFY_TOLERANCE):
-            violations.append((z, g, lhs, gz))
-        checked += 1
-    return EquivarianceReport(n, samples, checked, excluded, seed, violations)
 
 
 @dataclass

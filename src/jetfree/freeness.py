@@ -34,7 +34,6 @@ from .detsys import (
     PseudogroupSpec,
     combine_columns,
     jet_satisfies,
-    vanishing_fiber_basis,
 )
 from .errors import (
     CoefficientSingularity,
@@ -222,22 +221,6 @@ def local_freeness(ps, n: int, z: SubmanifoldJetPoint) -> FreenessVerdict:
     if verdict.is_free:
         problem.record_free(verdict.point)
     return verdict
-
-
-def isotropy_algebra(ps, n: int, z: SubmanifoldJetPoint) -> FiberBasis:
-    """Kernel of the prolonged differential restricted to the fiber jets
-    whose order-0 part vanishes (infinitesimal isotropy at the point)."""
-    problem = FreenessProblem.of(ps)
-    if z.order < n:
-        raise OrderMismatch(f"need an order-{n} jet point, got order {z.order}")
-    zn = z.truncate(n)
-    ctx = context_for(problem.space)
-    vb = vanishing_fiber_basis(problem, n, zn.base)
-    if vb.dimension == 0:
-        return FiberBasis(zn.base, n, [])
-    _, entries = _restricted_matrix(ctx, zn, vb.columns)
-    kern = nullspace(entries, vb.dimension)
-    return FiberBasis(zn.base, n, [_combine(zn, vb.columns, vec) for vec in kern])
 
 
 # -- persistence sweeps -----------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Exact linear algebra over rationals, and dense square solves over any field.
 
-Rational matrices are lists of rows of ``Fraction``.  Reduced echelon
-form, ranks, kernels and affine solves share one sparse fraction-free
-Gauss-Jordan elimination over integer rows, so they are exact by
-construction and cost little on the mostly-zero matrices of fiber and
-freeness problems.  Determinants, inverses and square solves share one
-dense Gaussian elimination over the field of their entries: ``Fraction``,
-float, or :class:`~jetfree.symkernel.Expr`, whose zero test is
-structural, which canonical form makes decidable.
+Rational matrices are lists of rows of ``Fraction``.  Ranks, kernels
+and affine solves share one sparse fraction-free Gauss-Jordan
+elimination over integer rows, so they are exact by construction and
+cost little on the mostly-zero matrices of fiber and freeness problems.
+Determinants, inverses and square solves share one dense Gaussian
+elimination over the field of their entries: ``Fraction``, float, or
+:class:`~jetfree.symkernel.Expr`, whose zero test is structural, which
+canonical form makes decidable.
 """
 
 from __future__ import annotations
@@ -87,23 +87,6 @@ def _primitive(entries: dict[int, int]) -> dict[int, int]:
     if g == 1:
         return entries
     return {j: v // g for j, v in entries.items()}
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form with unit pivots; returns (rows, pivot cols)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    red: list[Row] = []
-    pivots: list[int] = []
-    for c, entries in _eliminate(rows):
-        p = entries[c]
-        line = [_ZERO] * ncols
-        for j, v in entries.items():
-            line[j] = Fraction(v, p)
-        red.append(line)
-        pivots.append(c)
-    return red, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -349,7 +349,7 @@ def act_on_jet(g: DiffeoJet, z: SubmanifoldJetPoint) -> SubmanifoldJetPoint:
     return SubmanifoldJetPoint(space, n, newx, newu)
 
 
-# -- vector fields: lift, characteristic, prolongation ------------------------------
+# -- vector fields: lift and prolongation ------------------------------------------
 
 
 def lift_vector_field(ctx: JetContext, components, n: int) -> dict[tuple[int, MultiIndex], Expr]:
@@ -366,21 +366,6 @@ def lift_vector_field(ctx: JetContext, components, n: int) -> dict[tuple[int, Mu
         out[(a, B)] = (
             ctx.total_derivative(out[(a, B[:-1])], B[-1]) if B else components[a].subst(at_target)
         )
-    return out
-
-
-def characteristic(ctx: JetContext, components) -> list[Expr]:
-    """Q^alpha = phi^alpha - sum_i xi^i u^alpha_i for v = (xi, phi)."""
-    p, q = ctx.space.p, ctx.space.q
-    if len(components) != p + q:
-        raise ValueError("need one component per coordinate of M")
-    ctx.ensure_sub(1)
-    out = []
-    for al in range(q):
-        e = components[p + al]
-        for i in range(p):
-            e = e - components[i] * ctx.expr(ctx.sub_var(al, (i,)))
-        out.append(e)
     return out
 
 

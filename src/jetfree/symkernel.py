@@ -44,38 +44,26 @@ class VarRegistry:
     the registry object doubles as an identity token.
     """
 
-    __slots__ = ("_names", "_ids", "_frozen")
+    __slots__ = ("_names", "_ids")
 
     def __init__(self) -> None:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
-        self._frozen = False
 
     def register(self, name: str) -> VarId:
         vid = self._ids.get(name)
         if vid is not None:
             return vid
-        if self._frozen:
-            raise UnknownVariable(f"registry frozen; cannot register {name!r}")
         vid = len(self._names)
         self._names.append(name)
         self._ids[name] = vid
         return vid
-
-    def lookup(self, name: str) -> VarId:
-        try:
-            return self._ids[name]
-        except KeyError:
-            raise UnknownVariable(f"unknown variable {name!r}") from None
 
     def name(self, vid: VarId) -> str:
         try:
             return self._names[vid]
         except IndexError:
             raise UnknownVariable(f"unknown variable id {vid}") from None
-
-    def freeze(self) -> None:
-        self._frozen = True
 
     def __len__(self) -> int:
         return len(self._names)

@@ -644,6 +644,32 @@ def test_staged_solves_need_determining_equations(capsys, tmp_path, command):
     assert _report(out)["verdict"] == ("TRIVIAL" if command == "isotropy" else "NORMALIZED")
 
 
+def test_spec_whose_two_systems_disagree_exits_2(capsys, tmp_path):
+    """e1 with the extra infinitesimal equation zeta{x}.x = 0: its declared
+    fiber is smaller than the linearized one, and the two used to give
+    contradictory answers at x = u = u.x = 0 (freeness LOCALLY_FREE from
+    the declared system, isotropy NONTRIVIAL with X.x = -1 from the
+    determining equations).  Loading it refuses the spec; parse still
+    accepts its syntax."""
+    text = load_bundled_spec("e1").text.replace(
+        "    zeta{x}.u = 0;\n", "    zeta{x}.u = 0;\n    zeta{x}.x = 0;\n"
+    )
+    assert text != load_bundled_spec("e1").text
+    spec = tmp_path / "e1_disagree.psg"
+    spec.write_text(text, encoding="utf-8")
+    pt = _point_file(tmp_path, P_FLAT)
+    for command in ("freeness", "isotropy"):
+        rc, out, _ = _run(capsys, [command, str(spec), "--order", "1", "--point", pt, "--json"])
+        assert rc == 2
+        doc = _report(out)
+        assert doc["verdict"] == "ERROR"
+        assert "linearized and declared systems disagree at x = " in doc["error"]
+        rc, out, err = _run(capsys, [command, str(spec), "--order", "1", "--point", pt])
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "disagree" in err
+    assert _run(capsys, ["parse", str(spec)])[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["isotropy", "e1", "--order", "-2"],
     ["frame", "e1", "--order", "-1", "--cross-section", '{"fix":{}}'],

@@ -10,24 +10,20 @@ from jetfree.detsys import (
     FiberBasis,
     LinearDeterminingSystem,
     PseudogroupSpec,
-    check_regularity,
     declared_linear_system,
     evaluated_rows,
     fiber_basis,
-    fiber_rank,
     jet_satisfies,
     linearize,
     prolong_determining_system,
     prolong_linear_system,
     validate_consistency,
-    vanishing_fiber_basis,
 )
 from jetfree.dsl import SpecSource, load_bundled_spec, parse_spec
 from jetfree.errors import (
     CoefficientSingularity,
     NonRationalDependence,
     PreconditionViolation,
-    RegularityWarning,
 )
 from jetfree.jetspace import SpaceSpec, jet_keys
 from jetfree.linalg import rank
@@ -194,31 +190,6 @@ def test_fiber_empty_system_is_full_space():
     assert fb.dimension == 2
 
 
-def test_vanishing_fiber():
-    ds = _e1()
-    lin = linearize(ds)
-    z0 = (Fraction(0), Fraction(0))
-    vf = vanishing_fiber_basis(lin, 1, z0)
-    assert vf.dimension == 1
-    v = vf.elements[0]
-    assert v.coeffs[(0, ())] == 0
-    assert v.coeffs[(1, ())] == 0
-    assert v.coeffs[(0, (0,))] != 0
-    assert vanishing_fiber_basis(lin, 0, z0).dimension == 0
-
-
-def test_vanishing_fiber_rank_nullity():
-    ds = _e3()
-    lin = declared_linear_system(ds)
-    z0 = (Fraction(1), Fraction(3))
-    for n in (1, 2):
-        full = fiber_basis(lin, n, z0)
-        vanish = vanishing_fiber_basis(lin, n, z0)
-        coords0 = [(a, ()) for a in range(SP.m)]
-        eval_rows = [[v.coeffs[c] for c in coords0] for v in full.elements]
-        assert vanish.dimension == full.dimension - rank(eval_rows)
-
-
 def test_fiber_monotone_under_projection():
     ds = _e3()
     lin = declared_linear_system(ds)
@@ -286,29 +257,6 @@ def test_validate_consistency_detects_mismatch():
     bad = PseudogroupSpec(SP, 1, determining=(U - u, Xu), infinitesimal=(zx,), name="bad")
     with pytest.raises(PreconditionViolation):
         validate_consistency(bad, seed=3, points=5)
-
-
-def test_regularity_warning_on_rank_jump():
-    ctx = _ctx()
-    u = ctx.expr(ctx.source_var(1))
-    zu = ctx.expr(ctx.vf_var(1, ()))
-    L = LinearDeterminingSystem(SP, 0, (u * zu,))
-    pts = [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))]
-    with pytest.warns(RegularityWarning):
-        ranks = check_regularity(L, 0, pts)
-    assert ranks == [0, 1]
-
-
-def test_regularity_quiet_when_rank_stable():
-    import warnings as _w
-
-    ds = _e1()
-    lin = linearize(ds)
-    pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
-    with _w.catch_warnings():
-        _w.simplefilter("error", RegularityWarning)
-        ranks = check_regularity(lin, 1, pts)
-    assert ranks[0] == ranks[1] == fiber_rank(lin, 1, pts[0])
 
 
 def test_coefficient_singularity():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,18 @@ from jetfree.errors import (
     NoSolution,
     OrderMismatch,
     PreconditionViolation,
+    SingularJet,
+    SingularTotalJacobian,
     UnknownVariable,
 )
 from jetfree.frames import (
+    _VERIFY_TOLERANCE,
     CrossSection,
     MovingFrameChart,
+    _jets_agree,
+    _solve_frame,
     check_compatibility,
-    check_equivariance,
     check_transversality,
-    construct_frame,
     invariants,
 )
 from jetfree.jetspace import SpaceSpec
@@ -32,7 +36,7 @@ from jetfree.prolong import (
     identity_jet,
     jet_compose,
 )
-from jetfree.sampling import sample_group_jet
+from jetfree.sampling import random_jet_point, sample_group_jet
 
 SP = SpaceSpec(("x",), ("u",))
 
@@ -165,8 +169,9 @@ def test_transversality_of_standard_section():
     assert rep.fixed_count == 2
     assert rep.orbit_dimension == 2
     assert rep.stacked_rank == 3
-    assert rep.rank_deficit == 0
-    assert rep.intersection_dimension == 0
+    # no rank deficit, and the complementary subspace meets the orbit in 0
+    assert rep.jet_dimension - rep.stacked_rank == 0
+    assert rep.jet_dimension - rep.fixed_count + rep.orbit_dimension - rep.stacked_rank == 0
 
 
 def test_transversality_fails_without_orbit_direction():
@@ -174,7 +179,7 @@ def test_transversality_fails_without_orbit_direction():
     cs = CrossSection.from_names(SP, 1, {"u": 0, "u.x": 1})
     rep = check_transversality(cs, _e1(), _pt(0, 0, 1))
     assert not rep.transversal
-    assert rep.rank_deficit == 1
+    assert rep.jet_dimension - rep.stacked_rank == 1
 
 
 def test_transversality_reports_deficit_for_too_few_equations():
@@ -183,7 +188,8 @@ def test_transversality_reports_deficit_for_too_few_equations():
     assert not rep.transversal
     assert rep.fixed_count == 1
     assert rep.orbit_dimension == 2
-    assert rep.intersection_dimension == 1
+    # the two free coordinates and the two orbit directions span only 3
+    assert rep.jet_dimension - rep.fixed_count + rep.orbit_dimension - rep.stacked_rank == 1
 
 
 def test_transversality_requires_point_on_section():
@@ -195,7 +201,7 @@ def test_transversality_requires_point_on_section():
 
 
 def test_frame_normalizes_slope():
-    g = construct_frame(_e1(), 1, _cs1(), _pt(0, 0, 2))
+    g = _solve_frame(_e1(), 1, _cs1(), _pt(0, 0, 2)).jet
     assert g.coeffs == {
         (0, ()): Fraction(0),
         (1, ()): Fraction(0),
@@ -210,16 +216,16 @@ def test_frame_normalizes_slope():
 
 def test_frame_is_identity_on_the_cross_section():
     z = _pt(0, 7, 1)
-    g = construct_frame(_e1(), 1, _cs1(), z)
+    g = _solve_frame(_e1(), 1, _cs1(), z).jet
     assert g == identity_jet(SP, 1, z.base)
 
 
 def test_order2_frame_solves_second_stage():
-    g = construct_frame(_e1(), 2, _cs2(), _pt(0, 0, 1, 3))
+    g = _solve_frame(_e1(), 2, _cs2(), _pt(0, 0, 1, 3)).jet
     assert g.coeffs[(0, (0,))] == Fraction(1)
     assert g.coeffs[(0, (0, 0))] == Fraction(3)
     # X_xx = u_xx X_x / u_x
-    g = construct_frame(_e1(), 2, _cs2(), _pt(0, 0, 2, 3))
+    g = _solve_frame(_e1(), 2, _cs2(), _pt(0, 0, 2, 3)).jet
     assert g.coeffs[(0, (0,))] == Fraction(2)
     assert g.coeffs[(0, (0, 0))] == Fraction(3)
     moved = act_on_jet(g, _pt(0, 0, 2, 3))
@@ -229,12 +235,12 @@ def test_order2_frame_solves_second_stage():
 def test_frame_fails_outside_chart():
     # u_x = 0 cannot be rescaled to 1
     with pytest.raises(NoSolution):
-        construct_frame(_e1(), 1, _cs1(), _pt(0, 0, 0))
+        _solve_frame(_e1(), 1, _cs1(), _pt(0, 0, 0))
 
 
 def test_frame_order_must_match_section_order():
     with pytest.raises(OrderMismatch):
-        construct_frame(_e1(), 2, _cs1(), _pt(0, 0, 2, 0))
+        _solve_frame(_e1(), 2, _cs1(), _pt(0, 0, 2, 0))
 
 
 def test_e2_frame_normalizes_translation_and_scale():
@@ -243,7 +249,7 @@ def test_e2_frame_normalizes_translation_and_scale():
     z = _pt(1, 5, 2, 12)
     rep = check_transversality(cs, ps, _pt(0, 5, 1, 12))
     assert rep.transversal
-    g = construct_frame(ps, 2, cs, z)
+    g = _solve_frame(ps, 2, cs, z).jet
     assert g.coeffs[(0, ())] == Fraction(0)
     assert g.coeffs[(0, (0,))] == Fraction(2)
     assert g.coeffs[(0, (0, 0))] == Fraction(0)
@@ -259,7 +265,7 @@ def test_e3_frame_pins_first_order_jet():
     anchor = _pt(0, 1, 0)
     assert check_transversality(cs, ps, anchor).transversal
     z = _pt(3, 2, 5)
-    g = construct_frame(ps, 1, cs, z)
+    g = _solve_frame(ps, 1, cs, z).jet
     assert g.coeffs[(0, ())] == Fraction(0)
     assert g.coeffs[(1, ())] == Fraction(1)
     assert g.coeffs[(0, (0,))] == Fraction(1, 2)
@@ -351,6 +357,48 @@ def test_equivariance_with_identity_is_trivial():
     assert jet_compose(chart.frame(act_on_jet(g, z)), g) == chart.frame(z)
 
 
+@dataclass
+class EquivarianceReport:
+    order: int
+    samples: int
+    checked: int
+    excluded: int
+    seed: int
+    violations: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_equivariance(
+    frame: MovingFrameChart, samples: int = 25, seed: int = 0
+) -> EquivarianceReport:
+    """Sampled check of ghat(g.z) o g = ghat(z) for group jets g near the
+    identity; samples that leave the chart (either z or g.z) are
+    excluded and counted, not failures."""
+    rng = random.Random(seed)
+    ps = frame.pseudogroup
+    n = frame.order
+    checked = excluded = 0
+    violations: list[tuple] = []
+    for _ in range(samples):
+        z = random_jet_point(ps.space, n, rng, bound=5)
+        try:
+            gz = frame.frame(z)
+            g = sample_group_jet(ps, n, z.base, rng)
+            moved = act_on_jet(g, z)
+            gw = frame.frame(moved)
+        except (NoSolution, SingularJet, SingularTotalJacobian):
+            excluded += 1
+            continue
+        lhs = jet_compose(gw, g)
+        if not _jets_agree(lhs, gz, _VERIFY_TOLERANCE):
+            violations.append((z, g, lhs, gz))
+        checked += 1
+    return EquivarianceReport(n, samples, checked, excluded, seed, violations)
+
+
 def test_equivariance_sampled_sweep():
     chart = MovingFrameChart(_e1(), 1, _cs1(), _pt(0, 0, 1))
     rep = check_equivariance(chart, samples=20, seed=5)
@@ -412,7 +460,7 @@ def test_newton_fallback_on_nonlinear_determining_system():
     ps = _cube()
     cs = CrossSection.from_names(SP, 1, {"x": 0})
     z = _pt(Fraction(1, 2), 3, 5)
-    g = construct_frame(ps, 1, cs, z)
+    g = _solve_frame(ps, 1, cs, z).jet
     assert not g.is_exact()
     want = {
         (0, ()): 0.0,

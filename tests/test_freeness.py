@@ -31,7 +31,6 @@ from jetfree.freeness import (
     TRIVIAL,
     UNDECIDED,
     _products,
-    isotropy_algebra,
     isotropy_jets_triangular,
     local_freeness,
     persistence_sweep,
@@ -199,43 +198,40 @@ def test_e1_fiber_dimension_grows_with_order():
 
 
 def test_isotropy_algebra_dimensions():
-    assert isotropy_algebra(_e1(), 1, _pt(0, 0, 1)).dimension == 0
-    assert isotropy_algebra(_e1(), 1, _pt(0, 0, 0)).dimension == 1
+    # the kernel of the restricted matrix is the isotropy algebra at the point
+    assert local_freeness(_e1(), 1, _pt(0, 0, 0)).kernel_dimension == 1
+    assert local_freeness(_e1(), 1, _pt(0, 0, 1)).kernel_dimension == 0
 
 
 def test_isotropy_algebra_needs_the_point_to_its_order():
-    """A point of order below n is refused, as prolongation_matrix and
-    local_freeness refuse it; it used to give 2 basis elements where the
-    order-2 lift below gives 1."""
+    """A point of order below n is refused; the order-2 lift below has a
+    one-dimensional kernel."""
     low = _pt(1, 1, 0)
-    for fn in (isotropy_algebra, prolongation_matrix, local_freeness):
+    for fn in (prolongation_matrix, local_freeness):
         with pytest.raises(OrderMismatch):
             fn(_e1(), 2, low)
-    assert isotropy_algebra(_e1(), 2, _pt(1, 1, 0, 3)).dimension == 1
+    assert local_freeness(_e1(), 2, _pt(1, 1, 0, 3)).kernel_dimension == 1
 
 
-def test_isotropy_algebra_is_subspace_of_kernel():
-    rng = random.Random(9)
-    for ps in (_e1(), _e3()):
-        for _ in range(5):
-            z = random_jet_point(SP, 2, rng)
-            ia = isotropy_algebra(ps, 2, z)
-            v = local_freeness(ps, 2, z)
-            assert ia.dimension <= v.kernel_dimension
-
-
-def test_isotropy_algebra_rank_bookkeeping():
-    # kernel dim minus the rank of the order-0 evaluation on the kernel
-    rng = random.Random(31)
-    for ps in (_e1(), _e3()):
-        for _ in range(6):
-            z = random_jet_point(SP, 2, rng)
-            v = local_freeness(ps, 2, z)
-            rows = [
-                [k.coeffs[(a, ())] for a in range(SP.m)] for k in v.kernel_basis
-            ]
-            ia = isotropy_algebra(ps, 2, z)
-            assert ia.dimension == v.kernel_dimension - rank(rows)
+def test_freeness_kernel_vanishes_at_order_zero():
+    # the restricted matrix's x-rows are zeta^x and its order-0 u-rows are
+    # phihat(a, ()) = zeta^u, so every kernel jet vanishes at order 0: the
+    # kernel is the isotropy algebra, with no separate build needed
+    rng = random.Random(23)
+    p2 = parse_spec(SpecSource.from_file(Path(__file__).parent / "specs" / "p2.psg"))[0]
+    specs = [parse_spec(load_bundled_spec(name))[0] for name in ("e1", "e2", "e3")] + [p2]
+    dims = []
+    for spec in specs:
+        problem = FreenessProblem.of(spec)
+        for n in range(spec.effective_order, spec.effective_order + 3):
+            for z in _kernel_points(spec.space, n, rng):
+                v = local_freeness(problem, n, z)
+                for k in v.kernel_basis:
+                    assert all(k.coeffs[(a, ())] == 0 for a in range(spec.space.m)), (
+                        spec.name, n, z,
+                    )
+                dims.append(v.kernel_dimension)
+    assert 0 in dims and max(dims) >= 1
 
 
 # -- persistence -------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """No module in src/ or tests/ imports a name it never uses, and no
-private module-level name in src/jetfree is left without a reference.
+module-level name in src/jetfree is left without a reference.
 
 The checks read each file with the stdlib ``ast`` module: an imported
 name counts as used when it appears as a name anywhere in the file (an
@@ -7,7 +7,11 @@ attribute chain counts through its leading name) or is listed in
 ``__all__``.  ``from __future__`` imports are exempt.  A module-level
 function, class or assignment named ``_x`` counts as referenced when
 ``_x`` is read as a name, an attribute or an imported name somewhere in
-src/jetfree outside its own definition.
+src/jetfree outside its own definition.  A public module-level function
+or class counts as referenced the same way, or when the acceptance gate
+(tests/test_acceptance.py) or the benchmark's tracer
+(bench/tracing.TARGETS) names it: a public name that only unit tests
+use is library surface no command reaches.
 """
 
 from __future__ import annotations
@@ -52,9 +56,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, node) of each module-level function, class or assignment
-    whose name starts with a single underscore."""
+def _definitions(tree: ast.Module):
+    """(name, node) of each module-level function, class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -65,8 +68,17 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
+
+
+def _is_private(name: str, node: ast.AST) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _is_public_api(name: str, node: ast.AST) -> bool:
+    return not name.startswith("_") and isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    )
 
 
 def _references(node: ast.AST) -> Counter:
@@ -83,19 +95,28 @@ def _references(node: ast.AST) -> Counter:
     return out
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, name) of every private module-level name that no module
-    of sources reads outside the name's own definition."""
+def unreferenced_names(
+    sources: dict[str, str], kind, outside: Counter | None = None
+) -> list[tuple[str, str]]:
+    """(module, name) of every module-level name of the given kind (a
+    predicate on name and node) that no module of sources reads outside
+    the name's own definition and that the extra reference counts
+    outside do not name."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    total: Counter = Counter()
+    total: Counter = Counter(outside or {})
     for tree in trees.values():
         total.update(_references(tree))
     return sorted(
         (module, name)
         for module, tree in trees.items()
-        for name, node in _private_definitions(tree)
-        if total[name] == _references(node)[name]
+        for name, node in _definitions(tree)
+        if kind(name, node) and total[name] == _references(node)[name]
     )
+
+
+def _package_sources() -> dict[str, str]:
+    package = ROOT / "src" / "jetfree"
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
 
 
 def test_the_check_sees_an_unreferenced_private_helper():
@@ -103,10 +124,37 @@ def test_the_check_sees_an_unreferenced_private_helper():
         "a": "_CACHE = {}\ndef _used():\n    return _CACHE\ndef _orphan():\n    return _orphan()\n",
         "b": "from .a import _used\nclass _Lonely:\n    pass\n",
     }
-    assert unreferenced_private_names(sources) == [("a", "_orphan"), ("b", "_Lonely")]
+    assert unreferenced_names(sources, _is_private) == [("a", "_orphan"), ("b", "_Lonely")]
 
 
 def test_every_private_helper_in_src_is_referenced():
-    package = ROOT / "src" / "jetfree"
-    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(_package_sources(), _is_private) == []
+
+
+def _gate_and_tracer_references() -> Counter:
+    """Names the acceptance gate reads, and the module-level name (a
+    function, or the class of a method) of each TARGETS entry."""
+    refs = _references(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tracing.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TARGETS"]:
+            refs.update(name.split(".")[0] for _, name in ast.literal_eval(node.value))
+            return refs
+    raise AssertionError("bench/tracing.py defines no TARGETS")
+
+
+def test_the_check_sees_a_public_orphan():
+    sources = {
+        "a": (
+            "LIMIT = 3\ndef helper():\n    return LIMIT\ndef api():\n    return helper()\n"
+            "def orphan():\n    return orphan()\nclass Traced:\n    pass\n"
+        ),
+        "b": "from .a import api\n",
+    }
+    outside = Counter({"Traced": 1})
+    assert unreferenced_names(sources, _is_public_api, outside) == [("a", "orphan")]
+
+
+def test_every_public_name_in_src_is_reached():
+    found = unreferenced_names(_package_sources(), _is_public_api, _gate_and_tracer_references())
+    assert found == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from jetfree.errors import NoSolution, SingularJacobian
 from jetfree.jetspace import JetContext, SpaceSpec
-from jetfree.linalg import det, expr_inverse, nullspace, rank, rref, solve_affine, solve_square
+from jetfree.linalg import det, expr_inverse, nullspace, rank, solve_affine, solve_square
 from jetfree.symkernel import Expr, VarRegistry
 
 
@@ -21,12 +21,11 @@ def _frac_rows(ints):
 
 
 def test_rank_and_rref_known():
+    # reduced rows (1, 0, 1) and (0, 1, 1), pivots in columns 0 and 1: the
+    # kernel is spanned by (-1, -1, 1)
     m = _frac_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank(m) == 2
-    red, pivots = rref(m)
-    assert pivots == [0, 1]
-    assert red[0] == [Fraction(1), Fraction(0), Fraction(1)]
-    assert red[1] == [Fraction(0), Fraction(1), Fraction(1)]
+    assert nullspace(m, 3) == [[Fraction(-1), Fraction(-1), Fraction(1)]]
 
 
 def test_nullspace_known():
@@ -203,9 +202,7 @@ def _seeded_matrices(seed, count):
 def test_elimination_matches_dense_oracle(seed):
     for m in _seeded_matrices(seed, 150):
         ncols = len(m[0]) if m else 4
-        red, pivots = _dense_rref(m)
-        if m:
-            assert rref(m) == (red, pivots)
+        _, pivots = _dense_rref(m)
         assert rank(m) == len(pivots)
         assert nullspace(m, ncols) == _dense_nullspace(m, ncols)
 
@@ -230,8 +227,8 @@ def test_solve_affine_matches_dense_oracle(seed):
 
 
 def test_empty_shapes():
-    assert rref([]) == ([], []) and rank([]) == 0
-    assert rref([[]]) == ([], []) and rank([[]]) == 0
+    assert rank([]) == 0
+    assert rank([[]]) == 0
     assert nullspace([], 2) == [[1, 0], [0, 1]]
     assert nullspace([[]], 0) == []
     assert solve_affine([], []) == ([], [])

@@ -19,7 +19,6 @@ from jetfree.prolong import (
     SubmanifoldJetPoint,
     VectorFieldJet,
     act_on_jet,
-    characteristic,
     context_for,
     diffeo_jet_from_map,
     flow_jet,
@@ -350,17 +349,6 @@ def test_lift_preserves_bracket():
     br = lifted_bracket(ctx, lv, lw)
     for key in direct:
         assert (br[key] - direct[key]).is_zero()
-
-
-def test_characteristic_examples():
-    ctx = context_for(SP)
-    ux = ctx.expr(ctx.sub_var(0, (0,)))
-    q1 = characteristic(ctx, [ctx.const(1), ctx.const(0)])
-    assert (q1[0] + ux).is_zero()
-    q2 = characteristic(ctx, [ctx.const(0), ctx.const(1)])
-    assert (q2[0] - ctx.const(1)).is_zero()
-    q3 = characteristic(ctx, [_x(ctx), _u(ctx)])
-    assert (q3[0] - (_u(ctx) - _x(ctx) * ux)).is_zero()
 
 
 def test_prolong_concrete_horizontal_field():

@@ -113,8 +113,6 @@ def test_division_by_zero_expr_raises():
 def test_unknown_variable_raises():
     reg, _ = _ctx()
     with pytest.raises(UnknownVariable):
-        reg.lookup("nope")
-    with pytest.raises(UnknownVariable):
         Expr.var(reg, 99)
 
 
@@ -166,15 +164,6 @@ def test_printing_is_deterministic():
     assert str(e) == str((u + x * x - 1) / (x - u))
     assert str(Expr.const(reg, 0)) == "0"
     assert str(x - x) == "0"
-
-
-def test_registry_freeze_blocks_new_names():
-    reg = VarRegistry()
-    reg.register("a")
-    reg.freeze()
-    assert reg.register("a") == 0
-    with pytest.raises(UnknownVariable):
-        reg.register("b")
 
 
 def test_poly_gcd_shared_factor():
