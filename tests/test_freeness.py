@@ -213,6 +213,38 @@ def test_isotropy_algebra_needs_the_point_to_its_order():
     assert local_freeness(_e1(), 2, _pt(1, 1, 0, 3)).kernel_dimension == 1
 
 
+def _isotropy_dimension(ps, n, z):
+    """Dimension of the infinitesimal isotropy algebra at z, built apart
+    from local_freeness: the fiber combinations that the prolongation
+    matrix annihilates and whose order-0 part vanishes."""
+    pm = prolongation_matrix(ps, n, z)
+    cols = pm.basis.columns
+    order0 = [[col.get((a, ()), 0) for col in cols] for a in range(z.space.m)]
+    return len(nullspace(pm.entries + order0, pm.basis.dimension))
+
+
+def test_isotropy_algebra_is_subspace_of_kernel():
+    rng = random.Random(9)
+    for ps in (_e1(), _e3()):
+        for _ in range(5):
+            z = random_jet_point(SP, 2, rng)
+            v = local_freeness(ps, 2, z)
+            assert _isotropy_dimension(ps, 2, z) <= v.kernel_dimension
+
+
+def test_isotropy_algebra_rank_bookkeeping():
+    # kernel dim minus the rank of the order-0 evaluation on the kernel
+    rng = random.Random(31)
+    for ps in (_e1(), _e3()):
+        for _ in range(6):
+            z = random_jet_point(SP, 2, rng)
+            v = local_freeness(ps, 2, z)
+            rows = [
+                [k.coeffs[(a, ())] for a in range(SP.m)] for k in v.kernel_basis
+            ]
+            assert _isotropy_dimension(ps, 2, z) == v.kernel_dimension - rank(rows)
+
+
 def test_freeness_kernel_vanishes_at_order_zero():
     # the restricted matrix's x-rows are zeta^x and its order-0 u-rows are
     # phihat(a, ()) = zeta^u, so every kernel jet vanishes at order 0: the
